@@ -482,7 +482,9 @@ NationalStats run_national(const NationalConfig& nc, bool emit_obs) {
 
   std::uint64_t delivered = 0;
   for (int s = 0; s < nc.sites; ++s) {
-    const std::string sname = "s" + std::to_string(s);
+    // append(), not "s" + to_string(): GCC 12 at -O2 raises a false
+    // -Wrestrict on operator+(const char*, std::string&&).
+    const std::string sname = std::string("s").append(std::to_string(s));
     net::Host* router = add_host(sname, router_costs);
     router->set_forwarding(true);
     P2pNic* router_up = add_simplex(router, core, trunk_rate, trunk_prop,

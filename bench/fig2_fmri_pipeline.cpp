@@ -34,6 +34,10 @@ using namespace gtw;
 void print_fig2(bool with_trace) {
   std::printf("== Figure 2: distributed realtime-fMRI pipeline ==\n");
   testbed::Testbed tb{testbed::TestbedOptions{}};
+  // Declared before the pipeline: its torn-down TCP connections retire
+  // their open spans through the scheduler's hook, so the tracer must
+  // outlive them.
+  obs::SpanTracer spans;
 
   scanner::FmriConfig scfg;
   scfg.dims = {32, 32, 8};  // reduced matrix so the numerics run quickly
@@ -63,7 +67,6 @@ void print_fig2(bool with_trace) {
   trace::TraceRecorder rec(4);  // transfer / compute / return / display
   obs::Registry reg;
   obs::TimeSeriesSampler sampler(tb.scheduler(), reg);
-  obs::SpanTracer spans;
   if (with_trace) {
     pipe.attach_trace(&rec);
     // Causal span tracing (DESIGN.md section 13): per-scan latency trees

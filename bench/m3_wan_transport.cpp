@@ -104,6 +104,10 @@ Row run_case(double distance_km, std::string_view schedule,
   testbed::TestbedOptions opts;
   opts.distance_km = distance_km;
   testbed::Testbed tb{opts};
+  // Declared before the transport: torn-down TCP connections retire their
+  // open spans through the scheduler's hook, so the tracer must outlive
+  // them.
+  obs::SpanTracer spans;
   meta::Metacomputer mc{tb.scheduler()};
 
   meta::MachineSpec a;
@@ -134,7 +138,6 @@ Row run_case(double distance_km, std::string_view schedule,
   }
 
   obs::Registry reg;
-  obs::SpanTracer spans;
   if (emit_obs) {
     obs::instrument_path_transport(reg, path, "wan");
     // Causal spans for the transfer: keep the meta/tcp layers (chunk

@@ -2,13 +2,19 @@
 //
 // The scheduler fires millions of events per simulated second; wrapping each
 // one in std::function costs a heap allocation whenever the capture exceeds
-// the library's tiny inline buffer (16 bytes on libstdc++ — a captured Frame
-// alone is ~100).  Action inlines captures up to kInlineBytes into the event
-// record itself, so the common simulator callables (a frame in flight, a
-// packet plus its route, a retransmit timer) are stored allocation-free
-// inside the pooled event slot.  Larger callables fall back to one heap
-// allocation, exactly like std::function — the type is a superset, not a
-// restriction: it also accepts move-only captures std::function rejects.
+// the library's tiny inline buffer (16 bytes on libstdc++).  Action inlines
+// captures up to kInlineBytes into the event record itself, so the event is
+// stored allocation-free inside its pooled scheduler slot.  Larger callables
+// fall back to one heap allocation, exactly like std::function — the type is
+// a superset, not a restriction: it also accepts move-only captures
+// std::function rejects.
+//
+// Per-packet events never capture their payload (DESIGN.md §10): the Frame
+// or IpPacket waits in a FIFO owned by the link, switch or host, and the
+// event captures `this` plus at most a small id.  Those sites build their
+// Action through inline_only(), which refuses at compile time a capture
+// that would spill to the heap — so the buffer is sized for ids, not for
+// payloads.
 #pragma once
 
 #include <cstddef>
@@ -21,11 +27,13 @@ namespace gtw::des {
 
 class Action {
  public:
-  // Sized so every per-packet callable in src/net stays inline: the largest
-  // (link propagation delivering a Frame with an inlined TCP header) is
-  // ~112 bytes.  Growing a capture past this silently costs one allocation
-  // per event — keep hot-path lambdas lean instead of growing the buffer.
-  static constexpr std::size_t kInlineBytes = 120;
+  // Sized from a census of the callables the simulator schedules: per-packet
+  // events capture 8-16 bytes (`this`, `this` + an index), timers up to 24
+  // (a shared_ptr), a wrapped std::function 32.  40 bytes keeps all of them
+  // inline and makes the scheduler's pooled event record 80 bytes.  Cold
+  // closures above it (flow-stage continuations) cost one allocation each;
+  // a hot one must use inline_only() rather than grow the buffer.
+  static constexpr std::size_t kInlineBytes = 40;
 
   Action() noexcept = default;
 
@@ -42,6 +50,17 @@ class Action {
       ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
       ops_ = &heap_ops<Fn>;
     }
+  }
+
+  // Wrap `f` and prove at compile time that it is stored inline.  Use at
+  // every per-packet scheduling site: a capture that outgrows the buffer
+  // fails the build instead of silently costing one allocation per event.
+  template <typename F>
+  static Action inline_only(F&& f) {
+    static_assert(fits_inline<std::decay_t<F>>(),
+                  "capture too large for des::Action's inline buffer: park "
+                  "the payload in a component FIFO and capture an id");
+    return Action(std::forward<F>(f));
   }
 
   Action(Action&& other) noexcept { move_from(other); }

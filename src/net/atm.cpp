@@ -48,14 +48,20 @@ void AtmSwitch::on_frame(int port, Frame f) {
     prev = h->adopt(f.pkt.ctx);
   }
   // Cell-level cut-through latency through the fabric.
-  sched_.schedule_after(latency_, [this, out_port, f = std::move(f)]() mutable {
-    if (des::SpanHook* h2 = sched_.span_hook(); h2 != nullptr) {
-      h2->end_span(f.span, sched_.now());
-      f.span = 0;
-    }
-    ports_.at(out_port).out->submit(std::move(f));
-  });
+  fabric_.push_back(InFabric{out_port, std::move(f)});
+  sched_.schedule_after(
+      latency_, des::Action::inline_only([this]() { leave_fabric(); }));
   if (traced) h->adopt(prev);
+}
+
+void AtmSwitch::leave_fabric() {
+  InFabric hop = std::move(fabric_.front());
+  fabric_.pop_front();
+  if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
+    h->end_span(hop.f.span, sched_.now());
+    hop.f.span = 0;
+  }
+  ports_.at(hop.out_port).out->submit(std::move(hop.f));
 }
 
 AtmNic::AtmNic(des::Scheduler& sched, Host& owner, std::string name,
@@ -66,7 +72,11 @@ AtmNic::AtmNic(des::Scheduler& sched, Host& owner, std::string name,
 void AtmNic::shape_vc(HostId next_hop, units::BitRate rate) {
   auto it = vc_map_.find(next_hop);
   if (it == vc_map_.end()) return;
-  shapers_[it->second] = Shaper{rate, sched_.now()};
+  // Re-shaping a VC keeps it FIFO: frames already held back keep their
+  // release times and later frames queue behind the last of them.
+  Shaper& shaper = shapers_[it->second];
+  shaper.rate = rate;
+  if (shaper.held.empty()) shaper.next_free = sched_.now();
 }
 
 void AtmNic::transmit(IpPacket pkt, HostId next_hop) {
@@ -103,15 +113,23 @@ void AtmNic::transmit(IpPacket pkt, HostId next_hop) {
                              name_.c_str(), sched_.now());
       prev = h->adopt(f.pkt.ctx);
     }
-    sched_.schedule_at(release, [this, f = std::move(f)]() mutable {
-      if (des::SpanHook* h2 = sched_.span_hook(); h2 != nullptr) {
-        h2->end_span(f.span, sched_.now());
-        f.span = 0;
-      }
-      uplink_.submit(std::move(f));
-    });
+    shaper.held.push_back(std::move(f));
+    sched_.schedule_at(release,
+                       des::Action::inline_only(
+                           [this, vc = it->second]() { release_shaped(vc); }));
     if (traced) h->adopt(prev);
   }
+}
+
+void AtmNic::release_shaped(std::uint32_t vc) {
+  des::Ring<Frame>& held = shapers_.at(vc).held;
+  Frame f = std::move(held.front());
+  held.pop_front();
+  if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
+    h->end_span(f.span, sched_.now());
+    f.span = 0;
+  }
+  uplink_.submit(std::move(f));
 }
 
 FrameSink AtmNic::ingress() {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "des/ring.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
 #include "net/units.hpp"
@@ -52,15 +53,23 @@ class AtmSwitch {
 
  private:
   void on_frame(int port, Frame f);
+  void leave_fabric();
 
   struct Port {
     std::unique_ptr<Link> out;
+  };
+  // A frame crossing the fabric toward its egress port.  The fabric delay
+  // is constant, so fabric events pop these in the order they were pushed.
+  struct InFabric {
+    int out_port;
+    Frame f;
   };
 
   des::Scheduler& sched_;
   std::string name_;
   des::SimTime latency_;
   std::vector<Port> ports_;
+  des::Ring<InFabric> fabric_;
   std::map<std::pair<int, std::uint32_t>, std::pair<int, std::uint32_t>> vcs_;
   std::uint64_t unroutable_ = 0;
   std::uint64_t ingress_frames_ = 0;
@@ -90,10 +99,15 @@ class AtmNic : public Nic {
   std::uint64_t no_vc_drops() const { return no_vc_; }
 
  private:
+  // Frames a shaper holds back wait in its VC's FIFO; release times on one
+  // VC strictly increase, so each release event pops the oldest.
   struct Shaper {
     units::BitRate rate;
     des::SimTime next_free;
+    des::Ring<Frame> held;
   };
+
+  void release_shaped(std::uint32_t vc);
 
   des::Scheduler& sched_;
   Link uplink_;

@@ -16,14 +16,15 @@ void CpuResource::maybe_start() {
   des::SpanHook* h = sched_.span_hook();
   const des::TraceContext prev =
       h != nullptr ? h->adopt(queue_.front().ctx) : des::TraceContext{};
-  sched_.schedule_after(queue_.front().cost, [this]() {
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
-    busy_ = false;
-    ++jobs_;
-    job.done();
-    maybe_start();
-  });
+  sched_.schedule_after(queue_.front().cost,
+                        des::Action::inline_only([this]() {
+                          Job job = std::move(queue_.front());
+                          queue_.pop_front();
+                          busy_ = false;
+                          ++jobs_;
+                          job.done();
+                          maybe_start();
+                        }));
   if (h != nullptr) h->adopt(prev);
 }
 

@@ -6,10 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "des/action.hpp"
+#include "des/ring.hpp"
 #include "des/scheduler.hpp"
 
 namespace gtw::net {
@@ -20,7 +20,9 @@ class CpuResource {
       : sched_(sched), name_(std::move(name)), created_at_(sched.now()) {}
 
   // Run `done` after `cost` of exclusive CPU time, queued FIFO behind any
-  // work already accepted.
+  // work already accepted.  Jobs complete strictly in submission order, so
+  // a caller can park per-job data in a FIFO of its own and have `done`
+  // capture only `this` (as Host does for packets).
   void execute(des::SimTime cost, des::Action done);
 
   double utilization() const;
@@ -43,7 +45,7 @@ class CpuResource {
 
   des::Scheduler& sched_;
   std::string name_;
-  std::deque<Job> queue_;
+  des::Ring<Job> queue_;
   bool busy_ = false;
   std::uint64_t jobs_ = 0;
   des::SimTime busy_accum_ = des::SimTime::zero();

@@ -35,9 +35,15 @@ void HippiSwitch::on_frame(Frame f) {
     return;
   }
   const int out_port = it->second;
-  sched_.schedule_after(latency_, [this, out_port, f = std::move(f)]() mutable {
-    ports_.at(out_port).out->submit(std::move(f));
-  });
+  crossbar_.push_back(InCrossbar{out_port, std::move(f)});
+  sched_.schedule_after(
+      latency_, des::Action::inline_only([this]() { leave_crossbar(); }));
+}
+
+void HippiSwitch::leave_crossbar() {
+  InCrossbar hop = std::move(crossbar_.front());
+  crossbar_.pop_front();
+  ports_.at(hop.out_port).out->submit(std::move(hop.f));
 }
 
 HippiNic::HippiNic(des::Scheduler& sched, Host& owner, std::string name,

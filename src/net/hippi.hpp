@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "des/ring.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
 #include "net/units.hpp"
@@ -39,15 +40,22 @@ class HippiSwitch {
 
  private:
   void on_frame(Frame f);
+  void leave_crossbar();
 
   struct Port {
     std::unique_ptr<Link> out;
+  };
+  // A frame crossing the crossbar (constant latency, so popped in order).
+  struct InCrossbar {
+    int out_port;
+    Frame f;
   };
 
   des::Scheduler& sched_;
   std::string name_;
   des::SimTime latency_;
   std::vector<Port> ports_;
+  des::Ring<InCrossbar> crossbar_;
   std::map<HostId, int> stations_;
   std::uint64_t unroutable_ = 0;
 };

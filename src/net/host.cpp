@@ -106,14 +106,19 @@ void Host::emit(IpPacket pkt, const Route& route) {
                          name_.c_str(), sched_.now());
     prev = h->adopt(pkt.ctx);
   }
-  cpu_.execute(send_cost(pkt),
-               [this, pkt = std::move(pkt), &route, span]() mutable {
-                 if (des::SpanHook* h2 = sched_.span_hook(); h2 != nullptr)
-                   h2->end_span(span, sched_.now());
-                 ++packets_sent_;
-                 route.nic->transmit(std::move(pkt), route.next_hop);
-               });
+  const des::SimTime cost = send_cost(pkt);
+  on_cpu_.push_back(OnCpu{std::move(pkt), &route, span});
+  cpu_.execute(cost, des::Action::inline_only([this]() { finish_send(); }));
   if (h != nullptr && span != 0) h->adopt(prev);
+}
+
+void Host::finish_send() {
+  OnCpu job = std::move(on_cpu_.front());
+  on_cpu_.pop_front();
+  if (des::SpanHook* h = sched_.span_hook(); h != nullptr)
+    h->end_span(job.span, sched_.now());
+  ++packets_sent_;
+  job.route->nic->transmit(std::move(job.pkt), job.route->next_hop);
 }
 
 void Host::receive_from_nic(IpPacket pkt) {
@@ -131,30 +136,37 @@ void Host::receive_from_nic(IpPacket pkt) {
                          name_.c_str(), sched_.now());
     prev = h->adopt(pkt.ctx);
   }
-  cpu_.execute(recv_cost(pkt), [this, pkt = std::move(pkt), span]() mutable {
-    if (des::SpanHook* h2 = sched_.span_hook(); h2 != nullptr)
-      h2->end_span(span, sched_.now());
-    if (pkt.dst != id_) {
-      if (!forwarding_ || pkt.ttl == 0) {
-        ++unroutable_;
-        ++recv_unroutable_;
-        return;
-      }
-      const Route* route = lookup(pkt.dst);
-      if (route == nullptr) {
-        ++unroutable_;
-        ++recv_unroutable_;
-        return;
-      }
-      --pkt.ttl;
-      ++packets_forwarded_;
-      // Forwarding charges send-side cost too (store-and-forward stack).
-      emit(std::move(pkt), *route);
+  const des::SimTime cost = recv_cost(pkt);
+  on_cpu_.push_back(OnCpu{std::move(pkt), nullptr, span});
+  cpu_.execute(cost, des::Action::inline_only([this]() { finish_receive(); }));
+}
+
+void Host::finish_receive() {
+  OnCpu job = std::move(on_cpu_.front());
+  on_cpu_.pop_front();
+  if (des::SpanHook* h = sched_.span_hook(); h != nullptr)
+    h->end_span(job.span, sched_.now());
+  IpPacket& pkt = job.pkt;
+  if (pkt.dst != id_) {
+    if (!forwarding_ || pkt.ttl == 0) {
+      ++unroutable_;
+      ++recv_unroutable_;
       return;
     }
-    ++packets_received_;
-    deliver_local(std::move(pkt));
-  });
+    const Route* route = lookup(pkt.dst);
+    if (route == nullptr) {
+      ++unroutable_;
+      ++recv_unroutable_;
+      return;
+    }
+    --pkt.ttl;
+    ++packets_forwarded_;
+    // Forwarding charges send-side cost too (store-and-forward stack).
+    emit(std::move(pkt), *route);
+    return;
+  }
+  ++packets_received_;
+  deliver_local(std::move(pkt));
 }
 
 void Host::deliver_local(IpPacket pkt) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "des/ring.hpp"
 #include "des/scheduler.hpp"
 #include "net/cpu.hpp"
 #include "net/packet.hpp"
@@ -123,8 +124,20 @@ class Host {
     std::uint64_t span = 0;         // open reassembly-wait span (obs)
   };
 
+  // A packet waiting for (or being charged on) the CPU.  Host jobs
+  // complete in CPU FIFO order, so each completion pops the oldest; the
+  // CPU event itself captures only `this`.  route is null on the receive
+  // path.
+  struct OnCpu {
+    IpPacket pkt;
+    const Route* route = nullptr;
+    std::uint64_t span = 0;  // open host-cpu span (obs)
+  };
+
   const Route* lookup(HostId dst) const;
   void emit(IpPacket pkt, const Route& route);
+  void finish_send();
+  void finish_receive();
   void deliver_local(IpPacket pkt);
   void dispatch(const IpPacket& pkt);
   des::SimTime send_cost(const IpPacket& pkt) const;
@@ -135,6 +148,7 @@ class Host {
   HostId id_;
   HostCosts costs_;
   CpuResource cpu_;
+  des::Ring<OnCpu> on_cpu_;
 
   // Ordered maps (not unordered): host state sits on every packet's path,
   // and the determinism contract bans unspecified iteration order from

@@ -64,8 +64,9 @@ void Link::maybe_start() {
   transmitting_ = true;
 
   if (cfg_.fidelity == LinkFidelity::kExact) {
-    Frame f = std::move(queue_.front());
+    tx_frame_ = std::move(queue_.front());
     queue_.pop_front();
+    Frame& f = tx_frame_;
 
     des::SpanHook* h = sched_.span_hook();
     if (h != nullptr) {
@@ -83,44 +84,8 @@ void Link::maybe_start() {
     // frame's trace, not to whichever event pulled it off the queue.
     const des::TraceContext prev =
         h != nullptr ? h->adopt(f.pkt.ctx) : des::TraceContext{};
-    sched_.schedule_after(tx, [this, f = std::move(f)]() mutable {
-      transmitting_ = false;
-      queued_bytes_ -= f.wire_bytes;
-      queue_depth_.update(sched_.now(), static_cast<double>(queued_bytes_));
-      des::SpanHook* h2 = sched_.span_hook();
-      if (!up_) {
-        // The line was cut while this frame was being clocked out.
-        ++outage_drops_;
-        outage_dropped_bytes_ += f.wire_bytes;
-        if (h2 != nullptr) h2->abort_span(f.span, sched_.now());
-        return;
-      }
-      ++frames_sent_;
-      bytes_sent_ += f.wire_bytes;
-      if (h2 != nullptr) h2->end_span(f.span, sched_.now());  // serialized
-      if (cfg_.bit_error_rate > 0.0) {
-        // P(frame corrupted) = 1 - (1-BER)^bits; the AAL5 CRC discards it.
-        const double bits = static_cast<double>(f.wire_bytes) * 8.0;
-        const double p_ok = std::exp(bits * std::log1p(-cfg_.bit_error_rate));
-        if (!rng_.bernoulli(p_ok)) {
-          ++corrupted_;
-          maybe_start();
-          return;
-        }
-      }
-      if (sink_) {
-        if (h2 != nullptr && f.pkt.ctx.valid())
-          f.span = h2->begin_span(f.pkt.ctx, des::SpanPhase::kPropagate,
-                                  "link", name_.c_str(), sched_.now());
-        sched_.schedule_after(cfg_.propagation, [this, f = std::move(f)]() mutable {
-          if (des::SpanHook* h3 = sched_.span_hook(); h3 != nullptr)
-            h3->end_span(f.span, sched_.now());
-          f.span = 0;
-          sink_(std::move(f));
-        });
-      }
-      maybe_start();
-    });
+    sched_.schedule_after(
+        tx, des::Action::inline_only([this]() { finish_transmit(); }));
     if (h != nullptr) h->adopt(prev);
     return;
   }
@@ -151,7 +116,55 @@ void Link::maybe_start() {
     }
   }
   busy_accum_ += total;
-  sched_.schedule_after(total, [this, idx]() { finish_burst(idx); });
+  sched_.schedule_after(
+      total, des::Action::inline_only([this, idx]() { finish_burst(idx); }));
+}
+
+void Link::finish_transmit() {
+  Frame f = std::move(tx_frame_);
+  transmitting_ = false;
+  queued_bytes_ -= f.wire_bytes;
+  queue_depth_.update(sched_.now(), static_cast<double>(queued_bytes_));
+  des::SpanHook* h = sched_.span_hook();
+  if (!up_) {
+    // The line was cut while this frame was being clocked out.
+    ++outage_drops_;
+    outage_dropped_bytes_ += f.wire_bytes;
+    if (h != nullptr) h->abort_span(f.span, sched_.now());
+    return;
+  }
+  ++frames_sent_;
+  bytes_sent_ += f.wire_bytes;
+  if (h != nullptr) h->end_span(f.span, sched_.now());  // serialized
+  if (cfg_.bit_error_rate > 0.0) {
+    // P(frame corrupted) = 1 - (1-BER)^bits; the AAL5 CRC discards it.
+    const double bits = static_cast<double>(f.wire_bytes) * 8.0;
+    const double p_ok = std::exp(bits * std::log1p(-cfg_.bit_error_rate));
+    if (!rng_.bernoulli(p_ok)) {
+      ++corrupted_;
+      maybe_start();
+      return;
+    }
+  }
+  if (sink_) {
+    if (h != nullptr && f.pkt.ctx.valid())
+      f.span = h->begin_span(f.pkt.ctx, des::SpanPhase::kPropagate, "link",
+                             name_.c_str(), sched_.now());
+    in_flight_.push_back(std::move(f));
+    sched_.schedule_after(
+        cfg_.propagation,
+        des::Action::inline_only([this]() { finish_propagation(); }));
+  }
+  maybe_start();
+}
+
+void Link::finish_propagation() {
+  Frame f = std::move(in_flight_.front());
+  in_flight_.pop_front();
+  if (des::SpanHook* h = sched_.span_hook(); h != nullptr)
+    h->end_span(f.span, sched_.now());
+  f.span = 0;
+  sink_(std::move(f));
 }
 
 void Link::finish_burst(BurstId idx) {
@@ -192,12 +205,13 @@ void Link::finish_burst(BurstId idx) {
   if (!burst.empty() && sink_) {
     // One propagation event delivers the whole burst, in order, at the
     // burst's completion time plus the propagation delay.
-    sched_.schedule_after(cfg_.propagation, [this, idx]() {
-      auto& b = burst_pool_[idx];
-      for (Frame& f : b) sink_(std::move(f));
-      b.clear();
-      burst_pool_.release(idx);
-    });
+    sched_.schedule_after(cfg_.propagation,
+                          des::Action::inline_only([this, idx]() {
+                            auto& b = burst_pool_[idx];
+                            for (Frame& f : b) sink_(std::move(f));
+                            b.clear();
+                            burst_pool_.release(idx);
+                          }));
   } else {
     burst.clear();
     burst_pool_.release(idx);

@@ -3,17 +3,19 @@
 // them back-to-back at its configured rate, and delivers each frame to its
 // sink after the propagation delay.  Frames that would overflow the queue
 // limit are dropped whole (early packet discard, as ATM switches of the era
-// did for AAL5 traffic).
+// did for AAL5 traffic).  The frame being clocked out and the frames in
+// propagation wait in link-owned slots, so the link's events capture only
+// `this` (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "des/pool.hpp"
 #include "des/random.hpp"
+#include "des/ring.hpp"
 #include "des/scheduler.hpp"
 #include "des/stats.hpp"
 #include "net/packet.hpp"
@@ -21,6 +23,9 @@
 
 namespace gtw::net {
 
+// One L2 frame.  At 128 bytes it is far larger than a scheduler event's
+// inline capture (des::Action), so frames never ride inside events: they
+// wait in the FIFOs of the link, switch or NIC that holds them.
 struct Frame {
   IpPacket pkt;
   std::uint32_t wire_bytes = 0;  // bytes on the wire including L2 overhead
@@ -128,6 +133,8 @@ class Link {
   using BurstId = des::SlabPool<std::vector<Frame>, 16>::Index;
 
   void maybe_start();
+  void finish_transmit();
+  void finish_propagation();
   void finish_burst(BurstId idx);
 
   des::Scheduler& sched_;
@@ -135,7 +142,12 @@ class Link {
   Config cfg_;
   FrameSink sink_;
 
-  std::deque<Frame> queue_;
+  des::Ring<Frame> queue_;
+  // Exact mode: the frame on the transmitter (one at a time), and the
+  // frames past it in propagation.  Propagation is a constant delay, so the
+  // k-th propagation event to fire delivers the k-th frame pushed.
+  Frame tx_frame_;
+  des::Ring<Frame> in_flight_;
   std::uint64_t queued_bytes_ = 0;
   bool transmitting_ = false;
   bool up_ = true;

@@ -69,7 +69,8 @@ void TcpConnection::send(int side, units::Bytes amount, std::any data,
   Endpoint& e = ep_[side];
   e.snd_end += amount.count();
   e.stats.bytes_queued += amount.count();
-  Message msg{e.snd_end, std::move(data), std::move(on_delivered)};
+  Message msg{e.snd_end, std::move(data), std::move(on_delivered),
+              des::TraceContext{}, 0};
   if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
     msg.ctx = h->current();
     if (msg.ctx.valid())
@@ -154,8 +155,8 @@ void TcpConnection::send_segment(int side, std::uint64_t seq,
 void TcpConnection::arm_rto(int side) {
   Endpoint& e = ep_[side];
   e.rto_timer.cancel();
-  e.rto_timer =
-      sched_.schedule_after(e.rto, [this, side]() { on_rto(side); });
+  e.rto_timer = sched_.schedule_after(
+      e.rto, des::Action::inline_only([this, side]() { on_rto(side); }));
 }
 
 void TcpConnection::on_rto(int side) {
@@ -260,8 +261,9 @@ void TcpConnection::send_ack(int side, bool immediate) {
       return;
     }
     e.ack_pending = true;
-    e.ack_timer = sched_.schedule_after(cfg_.delayed_ack_timeout,
-                                        [this, side]() { flush_ack(side); });
+    e.ack_timer = sched_.schedule_after(
+        cfg_.delayed_ack_timeout,
+        des::Action::inline_only([this, side]() { flush_ack(side); }));
     return;
   }
   e.ack_timer.cancel();

@@ -60,7 +60,10 @@ TEST(MonitorTest, ViolationCarriesHistoryOldestFirst) {
 TEST(MonitorTest, HistoryRingKeepsLastCapacityNotes) {
   des::Scheduler sched;
   Monitor mon(sched);
-  for (int i = 0; i < 100; ++i) mon.note("n" + std::to_string(i));
+  // append(), not "n" + to_string(): GCC 12 at -O2 raises a false
+  // -Wrestrict on operator+(const char*, std::string&&).
+  for (int i = 0; i < 100; ++i)
+    mon.note(std::string("n").append(std::to_string(i)));
   mon.violation("unit.test", "broke");
   const auto& hist = mon.violations()[0].history;
   ASSERT_EQ(hist.size(), Monitor::kHistoryCapacity);
