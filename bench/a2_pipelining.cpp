@@ -3,13 +3,12 @@
 // work.  In particular, a new image is requested from the RT-server only
 // after the processing and displaying of the previous one is completed."
 // Sequential vs pipelined orchestration across scanner repetition times.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <fstream>
 
 #include "check/attach.hpp"
 #include "check/monitor.hpp"
+#include "cli.hpp"
 #include "fire/pipeline.hpp"
 #include "testbed/testbed.hpp"
 
@@ -81,17 +80,10 @@ void print_a2() {
                    : "[failed to write BENCH_a2_pipelining.json]\n\n");
 }
 
-void BM_SequentialPipeline(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run(3.0, fire::PipelineMode::kSequential, 256));
-}
-BENCHMARK(BM_SequentialPipeline)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  gtw::bench::parse_flags(argc, argv, {});
   print_a2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -19,8 +19,6 @@
 // --replay every wall-clock-derived field is omitted so the double-run
 // determinism gate can hold the artifact to byte identity; everything else
 // (event counts, stream hashes, goodputs, divergences) is deterministic.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <array>
 #include <cassert>
@@ -38,6 +36,7 @@
 
 #include "check/attach.hpp"
 #include "check/monitor.hpp"
+#include "cli.hpp"
 #include "des/random.hpp"
 #include "des/scheduler.hpp"
 #include "fire/pipeline.hpp"
@@ -208,11 +207,12 @@ struct RunStats {
   double wall_s = 0.0;
 };
 
-// Closure ballast sized like the simulator's real hot-path actions (a
-// Host::emit completion captures this + a full IpPacket + a route, ~112
-// bytes).  des::Action keeps this inline; std::function heap-allocates it —
-// exactly the per-event cost difference the refactor removed.
-using Ballast = std::array<std::uint64_t, 12>;
+// Closure ballast sized like the simulator's real hot-path actions: a
+// per-packet event captures `this` plus one id (16 bytes, DESIGN.md §10), so
+// the hold-model closure is a state pointer plus one word.  Both engines
+// store it without a per-event allocation; the baseline still pays for its
+// new-allocated entry and its cancellation-map node.
+using Ballast = std::array<std::uint64_t, 1>;
 
 // PHOLD-style hold model: a fixed population of self-rescheduling events.
 // 15/16 hops stay within ~200 µs (calendar buckets), 1/16 jump up to ~80 ms
@@ -239,8 +239,10 @@ void hold_fire(HoldState<Sched>* st, const Ballast& b) {
       1 + st->rng.uniform_int(far ? 80'000'000'000ULL : 200'000'000ULL));
   Ballast next = b;
   next[0] ^= static_cast<std::uint64_t>(d);
-  st->sched.schedule_after(des::SimTime::picoseconds(d),
-                           [st, next] { hold_fire(st, next); });
+  auto fire = [st, next] { hold_fire(st, next); };
+  static_assert(des::Action::fits_inline<decltype(fire)>(),
+                "hold-model event must fit des::Action's inline buffer");
+  st->sched.schedule_after(des::SimTime::picoseconds(d), std::move(fire));
 }
 
 template <class Sched>
@@ -835,46 +837,13 @@ void print_des_speed(bool replay, bool quick) {
   json << "}\n";
 }
 
-void BM_CalendarHold(benchmark::State& state) {
-  for (auto _ : state) {
-    const RunStats r = run_hold<des::Scheduler>(
-        static_cast<std::size_t>(state.range(0)), 200'000);
-    benchmark::DoNotOptimize(r.hash);
-  }
-}
-BENCHMARK(BM_CalendarHold)->Arg(1'000)->Arg(100'000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BaselineHold(benchmark::State& state) {
-  for (auto _ : state) {
-    const RunStats r = run_hold<BaselineScheduler>(
-        static_cast<std::size_t>(state.range(0)), 200'000);
-    benchmark::DoNotOptimize(r.hash);
-  }
-}
-BENCHMARK(BM_BaselineHold)->Arg(1'000)->Arg(100'000)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool replay = false;
   bool quick = false;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--replay") {
-      replay = true;
-      continue;
-    }
-    if (std::string_view(argv[i]) == "--quick") {
-      quick = true;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
+  gtw::bench::parse_flags(argc, argv,
+                          {{"--replay", &replay}, {"--quick", &quick}});
   print_des_speed(replay, quick);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,10 +3,9 @@
 //   * Cray T3E (Jülich) <-> IBM SP2 (Sankt Augustin): > 260 Mbit/s,
 //     limited by the SP2's microchannel I/O, not by the 2.4 Gbit/s WAN.
 // Also sweeps the WAN era (B-WiN 155 / OC-12 / OC-48) for the same paths.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
+#include "cli.hpp"
 #include "net/tcp.hpp"
 #include "net/units.hpp"
 #include "testbed/testbed.hpp"
@@ -86,21 +85,10 @@ void print_e1() {
   std::printf("\n");
 }
 
-void BM_BulkTransferLocalHippi(benchmark::State& state) {
-  for (auto _ : state) {
-    testbed::Testbed tb{testbed::TestbedOptions{}};
-    benchmark::DoNotOptimize(
-        measure(tb, tb.t3e600(), tb.t3e1200(), net::kMtuHippi,
-                units::Bytes{8u << 20}));
-  }
-}
-BENCHMARK(BM_BulkTransferLocalHippi)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  gtw::bench::parse_flags(argc, argv, {});
   print_e1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

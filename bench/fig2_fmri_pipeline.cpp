@@ -7,14 +7,12 @@
 // Runs the full distributed pipeline (with real numerics on the synthetic
 // scanner) and prints the per-stage event log for the first scans plus the
 // detected activation.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <fstream>
-#include <string_view>
 
 #include "check/attach.hpp"
 #include "check/monitor.hpp"
+#include "cli.hpp"
 #include "fire/pipeline.hpp"
 #include "obs/exporter.hpp"
 #include "obs/instrument.hpp"
@@ -80,7 +78,7 @@ void print_fig2(bool with_trace) {
     obs::instrument_host(reg, tb.onyx2_juelich());
     obs::instrument_atm_switch(reg, tb.atm_juelich());
     obs::instrument_atm_switch(reg, tb.atm_gmd());
-    obs::bridge_flow_metrics(reg, pipe.metrics(), "fire");
+    obs::instrument_stage_graph(reg, pipe.graph(), "fire");
     sampler.watch("net.link.wan_j_to_g.queue_bytes");
     sampler.watch("net.link.wan_j_to_g.utilization");
     sampler.watch_prefix("fire.stage.");
@@ -94,7 +92,7 @@ void print_fig2(bool with_trace) {
   // ledger; attaching schedules nothing, so traces stay comparable.
   check::Monitor mon(tb.scheduler());
   check::attach_testbed(mon, tb);
-  check::attach_flow_metrics(mon, pipe.metrics(), "fire");
+  check::attach_stage_graph(mon, pipe.graph(), "fire");
   check::attach_span_tracer(mon, spans);
 #endif
   pipe.start();
@@ -199,36 +197,11 @@ void print_fig2(bool with_trace) {
   }
 }
 
-void BM_AnalysisScan(benchmark::State& state) {
-  scanner::FmriConfig scfg;
-  scfg.dims = {32, 32, 8};
-  scanner::FmriSeriesGenerator gen(scfg);
-  fire::AnalysisConfig acfg;
-  acfg.stimulus = scfg.stimulus;
-  acfg.tr_s = scfg.tr_s;
-  acfg.motion_correction = false;
-  fire::AnalysisEngine engine(scfg.dims, acfg);
-  const fire::VolumeF img = gen.acquire(0);
-  for (auto _ : state) benchmark::DoNotOptimize(engine.process_scan(img));
-}
-BENCHMARK(BM_AnalysisScan)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip our own --trace flag before google-benchmark sees the arguments.
   bool with_trace = false;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--trace") {
-      with_trace = true;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
+  gtw::bench::parse_flags(argc, argv, {{"--trace", &with_trace}});
   print_fig2(with_trace);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

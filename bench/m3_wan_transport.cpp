@@ -27,8 +27,6 @@
 // .json and OBS_m3_wan_transport.metrics.json are byte-stable and sit
 // under the double-run determinism replay gate (--replay is accepted for
 // symmetry with des_speed; no field here is wall-clock-derived).
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -37,6 +35,7 @@
 
 #include "check/attach.hpp"
 #include "check/monitor.hpp"
+#include "cli.hpp"
 #include "meta/metacomputer.hpp"
 #include "meta/path_transport.hpp"
 #include "net/fault.hpp"
@@ -296,31 +295,13 @@ void print_m3() {
                    : "[failed to write BENCH_m3_wan_transport.json]\n\n");
 }
 
-void BM_SingleStreamLossOutage(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_case(100.0, "loss_outage", "single"));
-}
-BENCHMARK(BM_SingleStreamLossOutage)->Unit(benchmark::kMillisecond);
-
-void BM_MultiStreamLossOutage(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_case(100.0, "loss_outage", "multi8"));
-}
-BENCHMARK(BM_MultiStreamLossOutage)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   // --replay is accepted for determinism-gate symmetry with des_speed; the
   // artifact contains no wall-clock-derived fields either way.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--replay") continue;
-    argv[out++] = argv[i];
-  }
-  argc = out;
+  bool replay = false;
+  gtw::bench::parse_flags(argc, argv, {{"--replay", &replay}});
   print_m3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

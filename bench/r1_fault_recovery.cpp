@@ -7,14 +7,13 @@
 //     (frames superseded, recovery time once the line heals).
 // Deterministic by construction: the same script replays bit-identically,
 // so BENCH_r1_fault_recovery.json is byte-stable across runs.
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 
 #include "check/attach.hpp"
 #include "check/monitor.hpp"
+#include "cli.hpp"
 #include "fire/pipeline.hpp"
 #include "net/fault.hpp"
 #include "net/tcp.hpp"
@@ -97,7 +96,7 @@ FireRow run_fire(double outage_s, bool emit_obs = false) {
     obs::instrument_link(reg, tb.wan_link_j_to_g(), "net.link.wan_j_to_g");
     obs::instrument_link(reg, tb.wan_link_g_to_j(), "net.link.wan_g_to_j");
     obs::instrument_host(reg, tb.gw_o200());
-    obs::bridge_flow_metrics(reg, pipe.metrics(), "fire");
+    obs::instrument_stage_graph(reg, pipe.graph(), "fire");
     obs::attach_fault_plan(reg, plan);
     sampler.watch("fault.active");
     sampler.watch("net.link.wan_j_to_g.queue_bytes");
@@ -115,7 +114,7 @@ FireRow run_fire(double outage_s, bool emit_obs = false) {
   check::Monitor mon(tb.scheduler());
   check::attach_testbed(mon, tb);
   check::attach_fault_plan(mon, plan);
-  check::attach_flow_metrics(mon, pipe.metrics(), "fire");
+  check::attach_stage_graph(mon, pipe.graph(), "fire");
 #endif
   pipe.start();
   tb.scheduler().run();
@@ -188,21 +187,10 @@ void print_r1() {
                    : "[failed to write BENCH_r1_fault_recovery.json]\n\n");
 }
 
-void BM_TcpThroughOutage(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_tcp(2.0));
-}
-BENCHMARK(BM_TcpThroughOutage)->Unit(benchmark::kMillisecond);
-
-void BM_FireThroughOutage(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_fire(2.0));
-}
-BENCHMARK(BM_FireThroughOutage)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  gtw::bench::parse_flags(argc, argv, {});
   print_r1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -341,11 +341,7 @@ void attach_stage_graph(Monitor& mon, const flow::StageGraph& graph,
                       [&graph]() -> std::optional<std::string> {
                         return flow_drained(snapshot_graph(graph));
                       });
-  attach_flow_metrics(mon, graph.metrics(), prefix);
-}
-
-void attach_flow_metrics(Monitor& mon, const flow::MetricsRegistry& metrics,
-                         const std::string& prefix) {
+  const flow::MetricsRegistry& metrics = graph.metrics();
   mon.add_invariant(
       prefix + ".stages", [&metrics]() -> std::optional<std::string> {
         for (std::size_t i = 0; i < metrics.stages().size(); ++i) {

@@ -27,7 +27,6 @@
 #include "des/check_hook.hpp"
 #include "des/scheduler.hpp"
 #include "flow/graph.hpp"
-#include "flow/metrics.hpp"
 #include "meta/communicator.hpp"
 #include "meta/path_transport.hpp"
 #include "net/atm.hpp"
@@ -167,15 +166,11 @@ void attach_path_transport(Monitor& mon, meta::PathTransport& path,
                            const std::string& name);
 
 // --- flow -------------------------------------------------------------------
-// Graph item conservation (continuous) and the all-work-landed census at
-// drain, using the graph's live admission/in-flight state.
+// Graph item conservation (continuous), per-stage ledger sanity, the
+// degraded-subset law, and the all-work-landed census at drain, using the
+// graph's metrics and its live admission/in-flight state.
 void attach_stage_graph(Monitor& mon, const flow::StageGraph& graph,
                         const std::string& prefix);
-
-// Registry-only consistency for code that exposes metrics without the
-// graph: per-stage ledger sanity plus the degraded-subset law.
-void attach_flow_metrics(Monitor& mon, const flow::MetricsRegistry& metrics,
-                         const std::string& prefix);
 
 // --- faults -----------------------------------------------------------------
 // Observer-based bracket check: every fault that begins also ends (no

@@ -52,6 +52,14 @@ class Action {
     }
   }
 
+  // True when a callable of type Fn is stored inline (no allocation).
+  template <typename Fn>
+  static constexpr bool fits_inline() {
+    return sizeof(Fn) <= kInlineBytes &&
+           alignof(Fn) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<Fn>;
+  }
+
   // Wrap `f` and prove at compile time that it is stored inline.  Use at
   // every per-packet scheduling site: a capture that outgrows the buffer
   // fails the build instead of silently costing one allocation per event.
@@ -93,13 +101,6 @@ class Action {
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* storage) noexcept;
   };
-
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
 
   template <typename Fn>
   static constexpr Ops inline_ops = {

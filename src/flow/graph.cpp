@@ -8,14 +8,16 @@ des::SimTime StageContext::now() const { return graph->sched_.now(); }
 
 void StageContext::trace_send(int to_stage, std::uint32_t tag,
                               units::Bytes bytes) const {
-  graph->tracer_.send(static_cast<std::uint32_t>(stage),
+  if (graph->trace_ == nullptr) return;
+  graph->trace_->send(static_cast<std::uint32_t>(stage),
                       static_cast<std::uint32_t>(to_stage), tag, bytes,
                       graph->sched_.now());
 }
 
 void StageContext::trace_recv(int at_stage, std::uint32_t tag,
                               units::Bytes bytes) const {
-  graph->tracer_.recv(static_cast<std::uint32_t>(at_stage),
+  if (graph->trace_ == nullptr) return;
+  graph->trace_->recv(static_cast<std::uint32_t>(at_stage),
                       static_cast<std::uint32_t>(stage), tag, bytes,
                       graph->sched_.now());
 }
@@ -190,8 +192,9 @@ void StageGraph::start(int s, std::uint64_t id) {
     m.started = true;
     m.first_start = is.started;
   }
-  tracer_.enter(static_cast<std::uint32_t>(s), tracer_.state(st.cfg.name),
-                is.started);
+  if (trace_ != nullptr)
+    trace_->enter(static_cast<std::uint32_t>(s),
+                  trace_->define_state(st.cfg.name), is.started);
   des::SpanHook* h = sched_.span_hook();
   const bool traced = h != nullptr && is.ctx.valid();
   des::TraceContext prev;
@@ -223,8 +226,9 @@ void StageGraph::finish(int s, std::uint64_t id) {
   ++m.items_out;
   m.busy += now - is.started;
   m.last_finish = now;
-  tracer_.leave(static_cast<std::uint32_t>(s), tracer_.state(st.cfg.name),
-                now);
+  if (trace_ != nullptr)
+    trace_->leave(static_cast<std::uint32_t>(s),
+                  trace_->define_state(st.cfg.name), now);
   des::SpanHook* h = sched_.span_hook();
   if (h != nullptr) {
     h->end_span(is.body_span, now);

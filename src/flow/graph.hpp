@@ -33,7 +33,7 @@
 
 #include "des/scheduler.hpp"
 #include "flow/metrics.hpp"
-#include "flow/tracing.hpp"
+#include "trace/trace.hpp"
 
 namespace gtw::flow {
 
@@ -92,7 +92,7 @@ class StageGraph {
 
   // Attach/detach the trace stream.  Stage indices are the trace ranks, so
   // the recorder should be built with ranks >= stage_count().
-  void attach_trace(trace::TraceRecorder* rec) { tracer_.attach(rec); }
+  void attach_trace(trace::TraceRecorder* rec) { trace_ = rec; }
 
   // Called when an item leaves the last stage.
   void on_complete(std::function<void(const Item&)> cb) {
@@ -118,7 +118,6 @@ class StageGraph {
   bool degraded() const { return degraded_; }
 
   des::Scheduler& scheduler() { return sched_; }
-  Tracer& tracer() { return tracer_; }
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
@@ -179,7 +178,7 @@ class StageGraph {
   des::SimTime degraded_since_;
   des::SimTime recovery_started_;
   MetricsRegistry metrics_;
-  Tracer tracer_;
+  trace::TraceRecorder* trace_ = nullptr;
   std::function<void(const Item&)> complete_;
   std::function<void(const Item&, int)> drop_;
 };

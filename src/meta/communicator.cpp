@@ -36,13 +36,11 @@ void Communicator::send(int src_rank, int dst_rank, int tag,
   const ProcLoc& dst = location(dst_rank);
   ++messages_sent_;
   bytes_sent_ += bytes;
-  PeerStats& peer = peer_traffic_[{src_rank, dst_rank}];
-  ++peer.messages;
-  peer.bytes += bytes;
-  tracer_.send(static_cast<std::uint32_t>(src_rank),
-               static_cast<std::uint32_t>(dst_rank),
-               static_cast<std::uint32_t>(tag), units::Bytes{bytes},
-               mc_->scheduler().now());
+  if (trace_ != nullptr)
+    trace_->send(static_cast<std::uint32_t>(src_rank),
+                 static_cast<std::uint32_t>(dst_rank),
+                 static_cast<std::uint32_t>(tag), units::Bytes{bytes},
+                 mc_->scheduler().now());
 
   Message msg{src_rank, tag, bytes, std::move(data)};
   if (src.machine == dst.machine) {
@@ -165,7 +163,6 @@ void Communicator::wan_attempt(std::shared_ptr<WanSendState> st) {
       return;
     }
     ++reliability_.wan_retries;
-    ++peer_traffic_[{st->src_rank, st->dst_rank}].retries;
     if (des::SpanHook* h2 = mc_->scheduler().span_hook();
         h2 != nullptr && st->retry_span == 0 && st->ctx.valid()) {
       st->retry_span =
@@ -179,6 +176,12 @@ void Communicator::wan_attempt(std::shared_ptr<WanSendState> st) {
     wan_attempt(st);
   });
   if (h != nullptr) h->adopt(prev);
+}
+
+void Communicator::trace_enter(int rank, const char* state) {
+  if (trace_ != nullptr)
+    trace_->enter(static_cast<std::uint32_t>(rank),
+                  trace_->define_state(state), mc_->scheduler().now());
 }
 
 void Communicator::send_typed(int src_rank, int dst_rank, int tag,
@@ -204,10 +207,11 @@ void Communicator::recv(int rank, int source, int tag, RecvCallback cb) {
 }
 
 void Communicator::deliver(int dst_rank, Message msg) {
-  tracer_.recv(static_cast<std::uint32_t>(dst_rank),
-               static_cast<std::uint32_t>(msg.source),
-               static_cast<std::uint32_t>(msg.tag), units::Bytes{msg.bytes},
-               mc_->scheduler().now());
+  if (trace_ != nullptr)
+    trace_->recv(static_cast<std::uint32_t>(dst_rank),
+                 static_cast<std::uint32_t>(msg.source),
+                 static_cast<std::uint32_t>(msg.tag), units::Bytes{msg.bytes},
+                 mc_->scheduler().now());
   RankState& st = states_.at(static_cast<std::size_t>(dst_rank));
   for (auto it = st.recvs.begin(); it != st.recvs.end(); ++it) {
     if (matches(*it, msg)) {
@@ -254,10 +258,12 @@ void Communicator::finish_collective(std::uint64_t key, const char* name,
 
   auto final_stage = [this, key, name, intra, per_rank, &sched]() {
     sched.schedule_after(intra, [this, key, name, per_rank]() {
-      const std::uint32_t state = tracer_.state(name);
+      const std::uint32_t state =
+          trace_ != nullptr ? trace_->define_state(name) : 0;
       for (int r = 0; r < size(); ++r) {
-        tracer_.leave(static_cast<std::uint32_t>(r), state,
-                      mc_->scheduler().now());
+        if (trace_ != nullptr)
+          trace_->leave(static_cast<std::uint32_t>(r), state,
+                        mc_->scheduler().now());
         per_rank(r);
       }
       collectives_.erase(key);
@@ -299,8 +305,7 @@ void Communicator::finish_collective(std::uint64_t key, const char* name,
 }
 
 void Communicator::barrier(int rank, Callback cb) {
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state("barrier"),
-                mc_->scheduler().now());
+  trace_enter(rank, "barrier");
   const std::uint64_t key = (1ULL << 62) | barrier_seq_;
   Collective& c = collectives_[key];
   if (c.continuations.empty()) c.continuations.resize(ranks_.size());
@@ -316,8 +321,7 @@ void Communicator::barrier(int rank, Callback cb) {
 void Communicator::broadcast(int rank, int root, std::uint64_t bytes,
                              std::function<void(const std::any&)> cb,
                              std::any root_data) {
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state("broadcast"),
-                mc_->scheduler().now());
+  trace_enter(rank, "broadcast");
   const std::uint64_t key = (2ULL << 62) | bcast_seq_;
   Collective& c = collectives_[key];
   if (c.continuations.empty()) c.continuations.resize(ranks_.size());
@@ -337,8 +341,7 @@ void Communicator::broadcast(int rank, int root, std::uint64_t bytes,
 void Communicator::allreduce(int rank, const std::vector<double>& contribution,
                              ReduceOp op,
                              std::function<void(std::vector<double>)> cb) {
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state("allreduce"),
-                mc_->scheduler().now());
+  trace_enter(rank, "allreduce");
   const std::uint64_t key = (3ULL << 62) | reduce_seq_;
   Collective& c = collectives_[key];
   if (c.continuations.empty()) {
@@ -380,8 +383,7 @@ void Communicator::allreduce(int rank, const std::vector<double>& contribution,
 void Communicator::gather(int rank, std::uint64_t bytes, std::any data,
                           int root,
                           std::function<void(std::vector<std::any>)> root_cb) {
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state("gather"),
-                mc_->scheduler().now());
+  trace_enter(rank, "gather");
   const std::uint64_t key = (4ULL << 62) | gather_seq_;
   Collective& c = collectives_[key];
   if (c.continuations.empty()) {
@@ -409,8 +411,7 @@ void Communicator::gather(int rank, std::uint64_t bytes, std::any data,
 void Communicator::scatter(int rank, int root, std::uint64_t bytes_per_rank,
                            std::function<void(const std::any&)> cb,
                            std::vector<std::any> root_data) {
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state("scatter"),
-                mc_->scheduler().now());
+  trace_enter(rank, "scatter");
   const std::uint64_t key = (5ULL << 60) | scatter_seq_;
   Collective& c = collectives_[key];
   if (c.continuations.empty()) {
@@ -439,8 +440,7 @@ void Communicator::scatter(int rank, int root, std::uint64_t bytes_per_rank,
 void Communicator::alltoall(int rank, std::uint64_t bytes_per_pair,
                             std::vector<std::any> contributions,
                             std::function<void(std::vector<std::any>)> cb) {
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state("alltoall"),
-                mc_->scheduler().now());
+  trace_enter(rank, "alltoall");
   const std::uint64_t key = (6ULL << 60) | alltoall_seq_;
   Collective& c = collectives_[key];
   if (c.continuations.empty()) {

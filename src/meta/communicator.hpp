@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "des/check_hook.hpp"
-#include "flow/tracing.hpp"
 #include "meta/metacomputer.hpp"
 #include "trace/trace.hpp"
 
@@ -162,7 +161,7 @@ class Communicator {
   // recorded with its simulated timestamp, and each collective shows up as
   // an enter/leave pair per rank.  The recorder must outlive the
   // communicator and have at least size() ranks.
-  void attach_trace(trace::TraceRecorder* rec) { tracer_.attach(rec); }
+  void attach_trace(trace::TraceRecorder* rec) { trace_ = rec; }
 
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -189,17 +188,6 @@ class Communicator {
     std::uint64_t dropped_after_unreachable = 0;
   };
   const ReliabilityStats& reliability() const { return reliability_; }
-
-  // Per-(src rank, dst rank) point-to-point accounting, for the per-peer
-  // breakdown the obs layer exports (collectives are not attributed here).
-  struct PeerStats {
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t retries = 0;  // watchdog resends on this pair
-  };
-  const std::map<std::pair<int, int>, PeerStats>& peer_traffic() const {
-    return peer_traffic_;
-  }
 
   void set_check_observer(CommCheckObserver* obs) { check_observer_ = obs; }
 
@@ -246,6 +234,8 @@ class Communicator {
   };
 
   void deliver(int dst_rank, Message msg);
+  // Enter a collective's trace state; a no-op while no recorder is attached.
+  void trace_enter(int rank, const char* state);
   void wan_attempt(std::shared_ptr<WanSendState> st);
   bool matches(const PostedRecv& r, const Message& m) const;
   // Staged completion of a collective that moves `bytes` per WAN hop;
@@ -265,12 +255,11 @@ class Communicator {
                 gather_seq_ = 0, scatter_seq_ = 0, alltoall_seq_ = 0;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
-  std::map<std::pair<int, int>, PeerStats> peer_traffic_;
   RetryPolicy retry_;
   bool retry_enabled_ = false;
   UnreachableCallback unreachable_;
   ReliabilityStats reliability_;
-  flow::Tracer tracer_;  // shared hook layer with the dataflow engine
+  trace::TraceRecorder* trace_ = nullptr;
   CommCheckObserver* check_observer_ = nullptr;
 };
 

@@ -156,29 +156,6 @@ void write_metrics_json(std::ostream& os, const Registry& reg,
   os << "\n  ]\n}\n";
 }
 
-void write_metrics_csv(std::ostream& os, const Registry& reg) {
-  os << "name,kind,value\n";
-  for (const Registry::Sample& s : reg.snapshot()) {
-    switch (s.kind) {
-      case Registry::Kind::kCounter:
-        os << s.name << ",counter," << s.u << "\n";
-        break;
-      case Registry::Kind::kGauge:
-        os << s.name << ",gauge," << fmt_double(s.d) << "\n";
-        break;
-      case Registry::Kind::kHistogram:
-        os << s.name << ",histogram_count," << s.u << "\n";
-        os << s.name << ",histogram_p50," << fmt_double(s.hist->quantile(0.50))
-           << "\n";
-        os << s.name << ",histogram_p90," << fmt_double(s.hist->quantile(0.90))
-           << "\n";
-        os << s.name << ",histogram_p99," << fmt_double(s.hist->quantile(0.99))
-           << "\n";
-        break;
-    }
-  }
-}
-
 void write_series_json(std::ostream& os, const TimeSeriesSampler& sampler) {
   os << "{\n  \"series\": [";
   bool first = true;
@@ -193,13 +170,6 @@ void write_series_json(std::ostream& os, const TimeSeriesSampler& sampler) {
     first = false;
   }
   os << "\n  ]\n}\n";
-}
-
-void write_series_csv(std::ostream& os, const TimeSeriesSampler& sampler) {
-  os << "series,t_ps,value\n";
-  for (const TimeSeriesSampler::Series& s : sampler.series())
-    for (const auto& [t_ps, value] : s.points)
-      os << s.name << "," << t_ps << "," << fmt_double(value) << "\n";
 }
 
 }  // namespace gtw::obs

@@ -217,21 +217,10 @@ void instrument_path_transport(Registry& reg, const meta::PathTransport& path,
   });
 }
 
-void bridge_communicator_peers(Registry& reg, const meta::Communicator& comm,
-                               const std::string& name) {
-  for (const auto& [pair, stats] : comm.peer_traffic()) {
-    const std::string p = "meta." + name + ".peer." +
-                          std::to_string(pair.first) + "_to_" +
-                          std::to_string(pair.second) + ".";
-    reg.counter(p + "messages").set(stats.messages);
-    reg.counter(p + "bytes").set(stats.bytes);
-    reg.counter(p + "retries").set(stats.retries);
-  }
-}
-
-void bridge_flow_metrics(Registry& reg, const flow::MetricsRegistry& metrics,
-                         const std::string& prefix) {
-  for (int i = 0; i < static_cast<int>(metrics.stages().size()); ++i) {
+void instrument_stage_graph(Registry& reg, const flow::StageGraph& graph,
+                            const std::string& prefix) {
+  const flow::MetricsRegistry& metrics = graph.metrics();
+  for (int i = 0; i < graph.stage_count(); ++i) {
     // Capture (registry, index), not a StageMetrics reference: the stages
     // vector may reallocate if stages are added after instrumentation.
     const std::string p =

@@ -1,15 +1,10 @@
-// Instrumentation bridges: wire the simulator's components into an
-// obs::Registry without those components depending on obs.
+// Instrumentation: wire the simulator's components into an obs::Registry
+// without those components depending on obs.
 //
-// Two attachment styles, both passive:
-//
-//  - instrument_* register read-only probes (evaluated at snapshot/sample
-//    time) over a live component's existing accessors — the component is
-//    observed, never modified, and nothing is scheduled, so attaching
-//    instrumentation cannot perturb the DES schedule or any result;
-//  - bridge_* copy values that only exist as aggregates (per-peer traffic,
-//    per-stage totals discovered during the run) into counters, and are
-//    called once before export.
+// instrument_* register read-only probes (evaluated at snapshot/sample
+// time) over a live component's existing accessors — the component is
+// observed, never modified, and nothing is scheduled, so attaching
+// instrumentation cannot perturb the DES schedule or any result.
 //
 // attach_fault_plan is the one active hook: it registers a FaultPlan
 // observer that counts begin/end transitions and drops a Mark per
@@ -21,7 +16,7 @@
 
 #include <string>
 
-#include "flow/metrics.hpp"
+#include "flow/graph.hpp"
 #include "meta/communicator.hpp"
 #include "net/atm.hpp"
 #include "net/fault.hpp"
@@ -80,18 +75,12 @@ void instrument_communicator(Registry& reg, const meta::Communicator& comm,
 void instrument_path_transport(Registry& reg, const meta::PathTransport& path,
                                const std::string& name);
 
-// meta.<name>.peer.<src>_to_<dst>.{messages,bytes,retries} for every rank
-// pair that exchanged point-to-point traffic; call after (or late in) the
-// run, before exporting.
-void bridge_communicator_peers(Registry& reg, const meta::Communicator& comm,
-                               const std::string& name);
-
 // <prefix>.stage.<stage>.{items_in,items_out,dropped,queue_depth,queue_peak,
 // busy_ps,occupancy,throughput_per_s} per stage present at call time, plus
 // <prefix>.graph.{pushed,admitted,admission_dropped,completed,admission_peak,
 // degraded_spans,degraded_dropped,recoveries,degraded_ps,last_recovery_ps}.
-void bridge_flow_metrics(Registry& reg, const flow::MetricsRegistry& metrics,
-                         const std::string& prefix);
+void instrument_stage_graph(Registry& reg, const flow::StageGraph& graph,
+                            const std::string& prefix);
 
 // Counts fault begin/end transitions per kind under <prefix>.* , probes the
 // number of currently active faults, and records a Mark per transition.

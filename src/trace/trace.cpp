@@ -27,8 +27,12 @@ T get(std::istream& is) {
 }  // namespace
 
 std::uint32_t TraceRecorder::define_state(const std::string& name) {
-  states_.push_back(name);
-  return static_cast<std::uint32_t>(states_.size()) - 1;
+  const auto it = std::find(states_.begin(), states_.end(), name);
+  if (it == states_.end()) {
+    states_.push_back(name);
+    return static_cast<std::uint32_t>(states_.size()) - 1;
+  }
+  return static_cast<std::uint32_t>(it - states_.begin());
 }
 
 const std::string& TraceRecorder::state_name(std::uint32_t id) const {

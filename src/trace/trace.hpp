@@ -39,7 +39,9 @@ class TraceRecorder {
  public:
   explicit TraceRecorder(int ranks) : ranks_(ranks) {}
 
-  // States must be defined before use; id 0 is reserved for "idle".
+  // Id of the state called `name`, defined on first use; id 0 is the
+  // reserved "idle" state.  Every component recording into this trace
+  // shares one id per name.
   std::uint32_t define_state(const std::string& name);
   const std::string& state_name(std::uint32_t id) const;
   std::uint32_t state_count() const {

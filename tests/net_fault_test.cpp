@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "check/attach.hpp"
+#include "check/monitor.hpp"
 #include "des/scheduler.hpp"
 #include "fire/pipeline.hpp"
 #include "meta/communicator.hpp"
@@ -309,6 +311,9 @@ TEST(CommunicatorRetryTest, RetriesThroughOutageAndSuppressesDuplicate) {
 
   Communicator comm(f.mc, {{f.ma, 0}, {f.mb, 0}});
   comm.set_retry_policy({ms(150), /*max_retries=*/3, /*backoff=*/2.0});
+  // GTW-San: every arriving copy is exactly one of delivered / duplicate.
+  check::Monitor mon(f.sched);
+  check::attach_communicator(mon, comm, "retry");
 
   int received = 0;
   comm.recv(1, 0, 7, [&](const Message& m) {
@@ -317,6 +322,8 @@ TEST(CommunicatorRetryTest, RetriesThroughOutageAndSuppressesDuplicate) {
   });
   comm.send(0, 1, 7, 100'000);
   f.sched.run();
+  mon.finish();
+  EXPECT_TRUE(mon.clean()) << mon.report();
 
   EXPECT_EQ(received, 1);
   EXPECT_GE(comm.reliability().wan_retries, 1u);
@@ -334,6 +341,9 @@ TEST(CommunicatorRetryTest, ReportsUnreachableWhenOutageOutlastsRetries) {
 
   Communicator comm(f.mc, {{f.ma, 0}, {f.mb, 0}});
   comm.set_retry_policy({ms(50), /*max_retries=*/2, /*backoff=*/2.0});
+  // GTW-San: no late copy reaches the application after the report.
+  check::Monitor mon(f.sched);
+  check::attach_communicator(mon, comm, "retry");
 
   int received = 0;
   comm.recv(1, 0, 7, [&](const Message&) { ++received; });
@@ -345,6 +355,8 @@ TEST(CommunicatorRetryTest, ReportsUnreachableWhenOutageOutlastsRetries) {
   });
   comm.send(0, 1, 7, 50'000);
   f.sched.run();
+  mon.finish();
+  EXPECT_TRUE(mon.clean()) << mon.report();
 
   EXPECT_EQ(comm.reliability().unreachable_reports, 1u);
   EXPECT_EQ(comm.reliability().wan_retries, 2u);

@@ -313,17 +313,6 @@ TEST(ObsChromeExportTest, MetricsJsonMatchesGolden) {
   std::ostringstream os;
   obs::write_metrics_json(os, reg, "golden");
   EXPECT_EQ(os.str(), read_golden("metrics_small.json")) << os.str();
-
-  std::ostringstream csv;
-  obs::write_metrics_csv(csv, reg);
-  EXPECT_EQ(csv.str(),
-            "name,kind,value\n"
-            "fire.delay_s,histogram_count,4\n"
-            "fire.delay_s,histogram_p50,3\n"
-            "fire.delay_s,histogram_p90,5\n"
-            "fire.delay_s,histogram_p99,5\n"
-            "net.link.wan.tx_bytes,counter,123456789\n"
-            "net.link.wan.utilization,gauge,0.640625\n");
 }
 
 // Quantile estimation over explicit buckets: interpolation inside the
@@ -379,7 +368,7 @@ TEST(ObsChromeExportTest, LargeTraceExportsAllEventsDeterministically) {
   EXPECT_NE(json.find("\"id\":16500,"), std::string::npos);
 }
 
-TEST(ObsSeriesExportTest, SeriesJsonAndCsvAreStable) {
+TEST(ObsSeriesExportTest, SeriesJsonIsStable) {
   des::Scheduler sched;
   obs::Registry reg;
   std::uint64_t n = 0;
@@ -391,17 +380,11 @@ TEST(ObsSeriesExportTest, SeriesJsonAndCsvAreStable) {
                        des::SimTime::milliseconds(4));
   sched.run();
 
-  std::ostringstream js, csv;
+  std::ostringstream js;
   obs::write_series_json(js, sampler);
-  obs::write_series_csv(csv, sampler);
   EXPECT_EQ(js.str(),
             "{\n  \"series\": [\n    {\"name\": \"n\", \"points\": "
             "[[0, 0], [2000000000, 3], [4000000000, 3]]}\n  ]\n}\n");
-  EXPECT_EQ(csv.str(),
-            "series,t_ps,value\n"
-            "n,0,0\n"
-            "n,2000000000,3\n"
-            "n,4000000000,3\n");
 }
 
 }  // namespace

@@ -8,11 +8,6 @@ rules in tools/lint/gtw_lint.py: gtw-lint bans the constructs that *cause*
 divergence, this gate proves the absence of divergence end to end — same
 binary, same seed, same bytes out.
 
-Benchmark binaries in this repo write their reproduction artifacts
-(BENCH_*.json) from main() before google-benchmark takes over, so passing
-a never-matching --benchmark_filter replays the deterministic simulation
-without timing noise.
-
 Exit status: 0 byte-identical, 1 divergence (or no artifacts), 2 usage or
 subprocess failure.  Standard library only.
 """
@@ -27,11 +22,6 @@ import re
 import subprocess
 import sys
 import tempfile
-
-# Matches no benchmark name, so only the deterministic artifact-writing
-# part of the binary runs.
-NO_BENCHMARKS = "--benchmark_filter=$^"
-
 
 def run_once(cmd: list[str], workdir: str,
              patterns: list[str]) -> dict[str, bytes]:
@@ -125,9 +115,8 @@ def main(argv: list[str]) -> int:
                     dest="artifact_globs",
                     help="artifacts to compare, repeatable (default: "
                          "BENCH_*.json and OBS_*.json)")
-    ap.add_argument("--arg", action="append", default=None, dest="args",
-                    help="extra argument to pass instead of the default "
-                         "never-matching --benchmark_filter (repeatable)")
+    ap.add_argument("--arg", action="append", default=[], dest="args",
+                    help="argument to pass to the benchmark (repeatable)")
     ap.add_argument("--expect", action="append", default=[],
                     dest="expected",
                     help="artifact filename that MUST be produced "
@@ -136,8 +125,7 @@ def main(argv: list[str]) -> int:
                          "non-vacuous")
     args = ap.parse_args(argv)
 
-    cmd = [os.path.abspath(args.bench)]
-    cmd += args.args if args.args is not None else [NO_BENCHMARKS]
+    cmd = [os.path.abspath(args.bench)] + args.args
     globs = (args.artifact_globs if args.artifact_globs is not None
              else ["BENCH_*.json", "OBS_*.json"])
 

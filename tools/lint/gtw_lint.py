@@ -95,8 +95,8 @@ Whole-project rules (run after per-file scanning)
                         catalog (--emit-obs-catalog) that a ctest diffs
                         against the committed tools/lint/obs_catalog.json,
                         so new metrics must be cataloged in-diff.
-  check-coverage        Component types taken by instrument_*/bridge_*/
-                        attach_* functions in src/obs/ are diffed against
+  check-coverage        Component types taken by instrument_*/attach_*
+                        functions in src/obs/ are diffed against
                         the types taken by attach_* functions in src/check/:
                         a component observable through the obs catalog but
                         absent from the GTW-San attach catalog is a coverage
@@ -555,7 +555,7 @@ def check_per_file(sf: SourceFile, rep: Reporter) -> None:
                 rep.report(sf, t.line, "raw-metric-print",
                            "direct stdout printing in library code; metrics "
                            "leave the simulator through the obs exporters "
-                           "(write_metrics_json/csv, write_chrome_trace) or "
+                           "(write_metrics_json, write_chrome_trace) or "
                            "as a returned string the caller prints")
 
         if t.kind != "id":
@@ -592,14 +592,14 @@ def check_per_file(sf: SourceFile, rep: Reporter) -> None:
                 rep.report(sf, t.line, "raw-metric-print",
                            "direct stdout printing in library code; metrics "
                            "leave the simulator through the obs exporters "
-                           "(write_metrics_json/csv, write_chrome_trace) or "
+                           "(write_metrics_json, write_chrome_trace) or "
                            "as a returned string the caller prints")
             if (library_code and t.text == "fprintf" and i + 2 < len(toks)
                     and is_id(toks[i + 2], "stdout")):
                 rep.report(sf, t.line, "raw-metric-print",
                            "direct stdout printing in library code; metrics "
                            "leave the simulator through the obs exporters "
-                           "(write_metrics_json/csv, write_chrome_trace) or "
+                           "(write_metrics_json, write_chrome_trace) or "
                            "as a returned string the caller prints")
 
         # Bare clock type names (with or without std::chrono:: qualifier).
@@ -1314,8 +1314,8 @@ def obs_catalog(sites: list[ObsSite]) -> dict:
 # Whole-project pass: GTW-San attach-catalog coverage
 # ---------------------------------------------------------------------------
 #
-# src/obs/ names the components worth observing (instrument_*/bridge_*/
-# attach_* parameter types); src/check/ names the components GTW-San can
+# src/obs/ names the components worth observing (instrument_*/attach_*
+# parameter types); src/check/ names the components GTW-San can
 # check (attach_* parameter types).  The first set minus the second is the
 # sanitizer's blind spot, reported per missing component at the obs
 # declaration that proves the component matters.
@@ -1367,7 +1367,7 @@ def check_check_coverage(files: list[SourceFile], rep: Reporter) -> None:
     if not any(in_module(sf.relpath, "src/check/") for sf in files):
         return
     observed = collect_component_params(
-        files, "src/obs/", ("instrument_", "bridge_", "attach_"))
+        files, "src/obs/", ("instrument_", "attach_"))
     checked = collect_component_params(files, "src/check/", ("attach_",))
     for pair, (sf, line) in sorted(observed.items(),
                                    key=lambda kv: kv[0]):
