@@ -13,9 +13,11 @@ namespace {
 
 // Field extraction for our own line-oriented writer (span.cpp): every
 // field appears as `"key": value` with a single space, values are either
-// unsigned integers, signed integers, or quoted strings with no embedded
-// escapes (identifiers and labels).  A full JSON parser would be overkill
-// and a second source of truth for the format.
+// unsigned integers, signed integers, or quoted strings escaped by
+// detail::append_json_escaped.  Inside an escaped string every quote is
+// preceded by a backslash, so a `"key": ` pattern can only match a real
+// key.  A full JSON parser would be overkill and a second source of truth
+// for the format.
 bool find_value(const std::string& line, const char* key, std::size_t& pos) {
   const std::string pat = std::string("\"") + key + "\": ";
   const auto p = line.find(pat);
@@ -38,14 +40,34 @@ bool get_i64(const std::string& line, const char* key, std::int64_t& out) {
   return true;
 }
 
+// Reads a quoted string, undoing append_json_escaped.
 bool get_str(const std::string& line, const char* key, std::string& out) {
   std::size_t pos;
   if (!find_value(line, key, pos)) return false;
   if (pos >= line.size() || line[pos] != '"') return false;
-  const auto close = line.find('"', pos + 1);
-  if (close == std::string::npos) return false;
-  out = line.substr(pos + 1, close - pos - 1);
-  return true;
+  out.clear();
+  for (std::size_t i = pos + 1; i < line.size(); ++i) {
+    const char c = line[i];
+    if (c == '"') return true;
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    if (++i == line.size()) return false;
+    switch (line[i]) {
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u':
+        if (i + 4 >= line.size()) return false;
+        out += static_cast<char>(
+            std::strtoul(line.substr(i + 1, 4).c_str(), nullptr, 16));
+        i += 4;
+        break;
+      default: out += line[i];  // \" and \\ stand for themselves
+    }
+  }
+  return false;  // unterminated
 }
 
 bool starts_with(const std::string& line, const char* prefix) {

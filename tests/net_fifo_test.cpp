@@ -144,17 +144,19 @@ TEST(LinkFifoTest, CutMidTransmissionDropsTheFrameAndAbortsItsSpan) {
   EXPECT_EQ(link.queue_bytes(), 0u);
   EXPECT_EQ(payload.use_count(), 1);  // no frame copy left behind
   const auto serialize = std::count_if(
-      tracer.spans().begin(), tracer.spans().end(), [](const auto& s) {
-        return s.layer == "link" && s.phase == des::SpanPhase::kSerialize;
+      tracer.spans().begin(), tracer.spans().end(), [&](const auto& s) {
+        return tracer.layer(s) == "link" &&
+               s.phase == des::SpanPhase::kSerialize;
       });
   EXPECT_EQ(serialize, 1);
-  for (const auto& s : tracer.spans()) {
-    if (s.layer != "link") continue;
-    EXPECT_FALSE(s.open);
+  for (std::size_t i = 0; i < tracer.spans().size(); ++i) {
+    const auto& s = tracer.spans()[i];
+    if (tracer.layer(s) != "link") continue;
+    EXPECT_FALSE(s.open());
     // Frame 0's queue-wait ended when it reached the wire; every other
     // link span was cut short.
     if (s.phase != des::SpanPhase::kQueueWait || s.end.ps() != 0) {
-      EXPECT_TRUE(s.aborted) << s.id;
+      EXPECT_TRUE(s.aborted()) << "span " << i + 1;
     }
   }
   tracer.close_trace(ctx, sched.now());

@@ -1,10 +1,11 @@
 // Causal span tracing (DESIGN.md section 13): SpanTracer bookkeeping,
-// layer filtering, abort cascades, the write_json -> load_spans round
-// trip, latency-budget sweep exactness, and the lifecycle edge cases the
-// WAN makes interesting — spans held open across a PathTransport stall
-// reset, traces aborted when the Communicator declares a peer
-// unreachable, a zero-leak census at drain, and the guarantee that
-// attaching the tracer does not perturb the simulation.
+// layer filtering, abort cascades, the write_json golden bytes and its
+// round trip through load_spans (escaped strings included), latency-budget
+// sweep exactness, and the lifecycle edge cases the WAN makes interesting
+// — spans held open across a PathTransport stall reset, traces aborted
+// when the Communicator declares a peer unreachable, a zero-leak census at
+// drain, and the guarantee that attaching the tracer does not perturb the
+// simulation.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -56,7 +57,8 @@ TEST(SpanTracerTest, MintBeginEndCloseBookkeeping) {
   t.close_trace(ctx, ps(500));
   EXPECT_EQ(t.open_spans(), 0u);
   EXPECT_EQ(t.open_traces(), 0u);
-  EXPECT_EQ(t.traces().at(ctx.trace_id).status, "closed");
+  EXPECT_EQ(t.traces()[ctx.trace_id - 1].status,
+            SpanTracer::TraceStatus::kClosed);
   // Exact integer-picosecond stamps survive.
   EXPECT_EQ(t.spans()[s1 - 1].begin.ps(), 100);
   EXPECT_EQ(t.spans()[s1 - 1].end.ps(), 400);
@@ -94,19 +96,56 @@ TEST(SpanTracerTest, AbortTraceCascadesAndLateEndIsNoOp) {
   t.abort_trace(ctx, "unreachable", ps(50));
   EXPECT_EQ(t.open_spans(), 0u);
   EXPECT_EQ(t.open_traces(), 0u);
-  EXPECT_EQ(t.traces().at(ctx.trace_id).status, "aborted");
-  EXPECT_EQ(t.traces().at(ctx.trace_id).abort_reason, "unreachable");
-  EXPECT_TRUE(t.spans()[s1 - 1].aborted);
-  EXPECT_TRUE(t.spans()[s2 - 1].aborted);
+  EXPECT_EQ(t.traces()[ctx.trace_id - 1].status,
+            SpanTracer::TraceStatus::kAborted);
+  EXPECT_EQ(t.reason(t.traces()[ctx.trace_id - 1]), "unreachable");
+  EXPECT_TRUE(t.spans()[s1 - 1].aborted());
+  EXPECT_TRUE(t.spans()[s2 - 1].aborted());
 
   // A late copy of the dropped message tries to end its spans: no-op, the
   // abort stamps stand.
   t.end_span(s2, ps(900));
   EXPECT_EQ(t.spans()[s2 - 1].end.ps(), 50);
-  EXPECT_TRUE(t.spans()[s2 - 1].aborted);
+  EXPECT_TRUE(t.spans()[s2 - 1].aborted());
   // Double-close of the aborted trace is equally inert.
   t.close_trace(ctx, ps(900));
-  EXPECT_EQ(t.traces().at(ctx.trace_id).status, "aborted");
+  EXPECT_EQ(t.traces()[ctx.trace_id - 1].status,
+            SpanTracer::TraceStatus::kAborted);
+}
+
+TEST(SpanTracerTest, AbortTraceLeavesOtherTracesOpenSpansAlone) {
+  // Two traces interleave their spans; aborting one must close exactly its
+  // own open spans, wherever they sit in the store.
+  SpanTracer t;
+  const des::TraceContext a = t.mint("a", ps(0));
+  const des::TraceContext b = t.mint("b", ps(0));
+  const std::uint64_t a1 =
+      t.begin_span(a, des::SpanPhase::kTransfer, "meta", "a1", ps(1));
+  const std::uint64_t b1 =
+      t.begin_span(b, des::SpanPhase::kTransfer, "meta", "b1", ps(2));
+  const std::uint64_t a2 =
+      t.begin_span(a, des::SpanPhase::kQueueWait, "link", "a2", ps(3));
+  const std::uint64_t b2 =
+      t.begin_span(b, des::SpanPhase::kQueueWait, "link", "b2", ps(4));
+  t.end_span(a1, ps(5));
+  ASSERT_EQ(t.open_spans(), 5u);
+
+  t.abort_trace(a, "dropped", ps(10));
+  EXPECT_EQ(t.open_spans(), 3u);  // b's root, b1 and b2
+  EXPECT_FALSE(t.spans()[a1 - 1].aborted());  // ended before the abort
+  EXPECT_TRUE(t.spans()[a2 - 1].aborted());
+  EXPECT_EQ(t.spans()[a2 - 1].end.ps(), 10);
+  EXPECT_TRUE(t.spans()[b1 - 1].open());
+  EXPECT_TRUE(t.spans()[b2 - 1].open());
+  EXPECT_TRUE(t.spans()[b.span_id - 1].open());
+  EXPECT_EQ(t.traces()[a.trace_id - 1].open_spans, 0u);
+  EXPECT_EQ(t.traces()[b.trace_id - 1].open_spans, 3u);
+
+  t.end_span(b2, ps(20));
+  t.end_span(b1, ps(21));
+  t.close_trace(b, ps(22));
+  EXPECT_EQ(t.open_spans(), 0u);
+  EXPECT_EQ(t.open_traces(), 0u);
 }
 
 // --- artifact round trip and analysis ---------------------------------------
@@ -135,6 +174,121 @@ TEST(SpanAnalysisTest, WriteJsonRoundTripsThroughLoader) {
   EXPECT_EQ(f.spans[1].begin_ps, 1'500);
   EXPECT_EQ(f.spans[1].end_ps, 2'500);
   EXPECT_EQ(f.spans[1].parent, f.traces[0].root);
+}
+
+// Every write_json edge case: names longer than the small-string buffer, a
+// disabled layer, an aborted trace with a reason (and an aborted span in
+// it), a span still open at write time, and a late end_span after the
+// abort.  Returns the ids the test body checks.
+struct GoldenIds {
+  std::uint64_t disabled, stall, open_span;
+  des::TraceContext open_trace;
+};
+GoldenIds golden_fixture(SpanTracer& t) {
+  GoldenIds ids{};
+  t.enable_layer("host", false);
+  const des::TraceContext a = t.mint("meta.wan_send", ps(0));
+  const std::uint64_t xfer =
+      t.begin_span(a, des::SpanPhase::kTransfer, "meta",
+                   "gw_o200.juelich->gw_e5000.gmd", ps(10));
+  ids.disabled = t.begin_span(des::under(a, xfer), des::SpanPhase::kHostCpu,
+                              "host", "gw_o200.juelich", ps(20));
+  const std::uint64_t wire =
+      t.begin_span(des::under(a, xfer), des::SpanPhase::kSerialize, "link",
+                   "wan_link_juelich_to_gmd", ps(30));
+  const std::uint64_t fiber =
+      t.begin_span(des::under(a, wire), des::SpanPhase::kPropagate, "link",
+                   "wan_link_juelich_to_gmd", ps(130));
+  t.end_span(wire, ps(130));
+  t.end_span(fiber, ps(1'000'130));
+  t.end_span(xfer, ps(1'000'200));
+  t.close_trace(a, ps(1'000'250));
+
+  const des::TraceContext b = t.mint("flow.item", ps(40));
+  const std::uint64_t q = t.begin_span(b, des::SpanPhase::kQueueWait, "flow",
+                                       "rt_server.admission", ps(50));
+  t.end_span(q, ps(60));
+  ids.stall = t.begin_span(des::under(b, q), des::SpanPhase::kRetransmitStall,
+                           "tcp", "conn 7000", ps(60));
+  const std::uint64_t retry = t.begin_span(b, des::SpanPhase::kRetryBackoff,
+                                           "meta", "retry", ps(70));
+  t.abort_span(retry, ps(80));
+  t.abort_trace(b, "unreachable", ps(300));
+  t.end_span(ids.stall, ps(400));  // a late copy after the abort: no-op
+
+  ids.open_trace = t.mint("fire.scan", ps(500));
+  ids.open_span = t.begin_span(ids.open_trace, des::SpanPhase::kCompute,
+                               "fire", "motion_correction", ps(510));
+  return ids;
+}
+
+// The fixture's artifact bytes.  Every OBS_*.spans.json is held
+// byte-identical across refactors, so the writer may change how it
+// formats, never what it writes.
+constexpr const char* kGoldenSpans = R"({"gtw_spans": 1, "label": "golden"}
+{"trace": 1, "root": 1, "origin": "meta.wan_send", "status": "closed"}
+{"trace": 2, "root": 5, "origin": "flow.item", "status": "aborted", "reason": "unreachable"}
+{"trace": 3, "root": 9, "origin": "fire.scan", "status": "open"}
+{"span": 1, "trace": 1, "parent": 0, "phase": "root", "layer": "trace", "name": "meta.wan_send", "begin_ps": 0, "end_ps": 1000250, "status": "ok"}
+{"span": 2, "trace": 1, "parent": 1, "phase": "transfer", "layer": "meta", "name": "gw_o200.juelich->gw_e5000.gmd", "begin_ps": 10, "end_ps": 1000200, "status": "ok"}
+{"span": 3, "trace": 1, "parent": 2, "phase": "serialize", "layer": "link", "name": "wan_link_juelich_to_gmd", "begin_ps": 30, "end_ps": 130, "status": "ok"}
+{"span": 4, "trace": 1, "parent": 3, "phase": "propagate", "layer": "link", "name": "wan_link_juelich_to_gmd", "begin_ps": 130, "end_ps": 1000130, "status": "ok"}
+{"span": 5, "trace": 2, "parent": 0, "phase": "root", "layer": "trace", "name": "flow.item", "begin_ps": 40, "end_ps": 300, "status": "aborted"}
+{"span": 6, "trace": 2, "parent": 5, "phase": "queue-wait", "layer": "flow", "name": "rt_server.admission", "begin_ps": 50, "end_ps": 60, "status": "ok"}
+{"span": 7, "trace": 2, "parent": 6, "phase": "retransmit-stall", "layer": "tcp", "name": "conn 7000", "begin_ps": 60, "end_ps": 300, "status": "aborted"}
+{"span": 8, "trace": 2, "parent": 5, "phase": "retry-backoff", "layer": "meta", "name": "retry", "begin_ps": 70, "end_ps": 80, "status": "aborted"}
+{"span": 9, "trace": 3, "parent": 0, "phase": "root", "layer": "trace", "name": "fire.scan", "begin_ps": 500, "end_ps": 500, "status": "open"}
+{"span": 10, "trace": 3, "parent": 9, "phase": "compute", "layer": "fire", "name": "motion_correction", "begin_ps": 510, "end_ps": 510, "status": "open"}
+{"spans_total": 10, "traces_total": 3, "open_spans": 2}
+)";
+
+TEST(SpanAnalysisTest, WriteJsonMatchesGolden) {
+  SpanTracer t;
+  const GoldenIds ids = golden_fixture(t);
+  EXPECT_EQ(ids.disabled, 0u);
+  EXPECT_TRUE(t.spans()[ids.stall - 1].aborted());
+  EXPECT_EQ(t.spans()[ids.stall - 1].end.ps(), 300);  // the late end no-ops
+  EXPECT_EQ(t.open_spans(), 2u);
+  EXPECT_EQ(t.open_traces(), 1u);
+
+  std::ostringstream os;
+  t.write_json(os, "golden");
+  EXPECT_EQ(os.str(), kGoldenSpans);
+
+  t.end_span(ids.open_span, ps(600));
+  t.close_trace(ids.open_trace, ps(700));
+  EXPECT_EQ(t.open_spans(), 0u);
+}
+
+TEST(SpanAnalysisTest, EscapedStringsRoundTrip) {
+  // Quotes and backslashes in a label, origin, reason, layer and name are
+  // escaped on the way out and restored by the loader.
+  const char* stage = R"(stage "a\b" \)";
+  SpanTracer t;
+  const des::TraceContext ctx = t.mint(stage, ps(0));
+  const std::uint64_t s =
+      t.begin_span(ctx, des::SpanPhase::kCompute, "la\"yer", stage, ps(1));
+  t.end_span(s, ps(2));
+  t.abort_trace(ctx, "why \"not\"", ps(3));
+
+  std::ostringstream os;
+  t.write_json(os, R"(label "q" \)");
+  std::istringstream is(os.str());
+  SpanFile f;
+  std::string error;
+  ASSERT_TRUE(load_spans(is, "escaped", f, error)) << error;
+  EXPECT_EQ(f.label, R"(label "q" \)");
+  ASSERT_EQ(f.traces.size(), 1u);
+  EXPECT_EQ(f.traces[0].origin, stage);
+  EXPECT_EQ(f.traces[0].reason, "why \"not\"");
+  EXPECT_EQ(f.traces[0].status, "aborted");
+  ASSERT_EQ(f.spans.size(), 2u);
+  EXPECT_EQ(f.spans[0].name, stage);
+  EXPECT_EQ(f.spans[1].layer, "la\"yer");
+  EXPECT_EQ(f.spans[1].name, stage);
+  EXPECT_EQ(f.spans[1].begin_ps, 1);
+  EXPECT_EQ(f.spans[1].end_ps, 2);
+  EXPECT_EQ(f.spans[1].status, "ok");
 }
 
 TEST(SpanAnalysisTest, SweepPartitionsRootIntervalExactly) {
@@ -269,10 +423,11 @@ TEST(SpanLifecycleTest, StallResetAbortsStrandedChunkSpansWithoutLeaks) {
   EXPECT_EQ(tracer.open_traces(), 0u);
   std::size_t aborted = 0;
   for (const auto& s : tracer.spans())
-    if (s.aborted) ++aborted;
+    if (s.aborted()) ++aborted;
   EXPECT_GE(aborted, 1u);
   ASSERT_EQ(tracer.traces().size(), 1u);
-  EXPECT_EQ(tracer.traces().begin()->second.status, "closed");
+  EXPECT_EQ(tracer.traces().front().status,
+            SpanTracer::TraceStatus::kClosed);
 }
 
 TEST(SpanLifecycleTest, UnreachableAbortsTraceAndLateCopiesDoNotLeak) {
@@ -315,8 +470,9 @@ TEST(SpanLifecycleTest, UnreachableAbortsTraceAndLateCopiesDoNotLeak) {
   EXPECT_EQ(tracer.open_spans(), 0u);
   EXPECT_EQ(tracer.open_traces(), 0u);
   bool saw_unreachable = false;
-  for (const auto& [id, tr] : tracer.traces())
-    if (tr.status == "aborted" && tr.abort_reason == "unreachable")
+  for (const auto& tr : tracer.traces())
+    if (tr.status == SpanTracer::TraceStatus::kAborted &&
+        tracer.reason(tr) == "unreachable")
       saw_unreachable = true;
   EXPECT_TRUE(saw_unreachable);
 }
