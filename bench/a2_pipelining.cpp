@@ -26,17 +26,13 @@ fire::PipelineResult run(double tr_s, fire::PipelineMode mode, int pes) {
   fire::FmriPipeline pipe(
       tb.scheduler(),
       {&tb.scanner_frontend(), &tb.gw_o200(), &tb.onyx2_juelich()}, cfg);
-#if defined(GTW_CHECK)
   // GTW-San: conservation sweep over the whole testbed, gating the bench.
   check::Monitor mon(tb.scheduler());
   check::attach_testbed(mon, tb);
-#endif
   pipe.start();
   tb.scheduler().run();
-#if defined(GTW_CHECK)
   mon.finish();
   mon.require_clean("a2_pipelining");
-#endif
   return pipe.result();
 }
 

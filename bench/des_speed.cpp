@@ -540,15 +540,13 @@ NationalStats run_national(const NationalConfig& nc, bool emit_obs) {
         });
   }
 
-#if defined(GTW_CHECK)
   // GTW-San: full conservation sweep over the national topology.  Attaching
   // schedules nothing, so the event stream (and its hash checkpoints) is
-  // identical to an unmonitored checked run.
+  // identical to an unmonitored run.
   check::Monitor mon(sched);
   check::attach_scheduler(mon, sched);
   for (const auto& h : hosts) check::attach_host(mon, *h);
   for (const auto& l : links) check::attach_link(mon, *l);
-#endif
 
   const WallTimer timer;
   // Drive the run step-by-step so the stream hash can be sampled at fixed
@@ -565,11 +563,9 @@ NationalStats run_national(const NationalConfig& nc, bool emit_obs) {
   }
   const double wall_s = timer.elapsed_s();
 
-#if defined(GTW_CHECK)
   mon.finish();
   mon.require_clean(emit_obs ? "des_speed national hybrid"
                              : "des_speed national exact");
-#endif
 
   if (emit_obs) {
     // Snapshot the engine-core dashboard after the run (probes read current

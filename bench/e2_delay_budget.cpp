@@ -159,21 +159,17 @@ void emit_e2_spans() {
   };
   graph.add_stage(std::move(display));
 
-#if defined(GTW_CHECK)
   check::Monitor mon(tb.scheduler());
   check::attach_testbed(mon, tb);
   check::attach_span_tracer(mon, spans);
-#endif
 
   for (int i = 0; i < 4; ++i) {
     tb.scheduler().schedule_at(des::SimTime::seconds(3.0 * i),
                                [&graph, i] { graph.push(i); });
   }
   tb.scheduler().run();
-#if defined(GTW_CHECK)
   mon.finish();
   mon.require_clean("e2_delay_budget");
-#endif
 
   std::ofstream sp("OBS_e2_delay_budget.spans.json", std::ios::binary);
   spans.write_json(sp, "e2_delay_budget");

@@ -45,19 +45,15 @@ TcpRow run_tcp(double outage_s) {
   }
   net::TcpConfig cfg;
   cfg.recv_buffer = units::Bytes{4u << 20};
-#if defined(GTW_CHECK)
   // GTW-San: conservation across the cut — outage drops must balance the
   // ledgers, and every fault must revert by drain.
   check::Monitor mon(tb.scheduler());
   check::attach_testbed(mon, tb);
   check::attach_fault_plan(mon, plan);
-#endif
   const auto res = net::run_bulk_transfer(tb.scheduler(), tb.gw_o200(),
                                           tb.gw_e5000(), units::Bytes{128u << 20}, cfg);
-#if defined(GTW_CHECK)
   mon.finish();
   mon.require_clean("r1_fault_recovery tcp");
-#endif
   return {res.duration.sec(), res.goodput.bps() / 1e6,
           res.sender_stats.retransmits, res.sender_stats.timeouts,
           tb.wan_link_j_to_g().outage_drops()};
@@ -110,18 +106,14 @@ FireRow run_fire(double outage_s, bool emit_obs = false) {
     plan.link_down(tb.wan_link_j_to_g(), des::SimTime::seconds(15),
                    des::SimTime::seconds(outage_s));
   }
-#if defined(GTW_CHECK)
   check::Monitor mon(tb.scheduler());
   check::attach_testbed(mon, tb);
   check::attach_fault_plan(mon, plan);
   check::attach_stage_graph(mon, pipe.graph(), "fire");
-#endif
   pipe.start();
   tb.scheduler().run();
-#if defined(GTW_CHECK)
   mon.finish();
   mon.require_clean("r1_fault_recovery fire");
-#endif
 
   if (emit_obs) {
     {

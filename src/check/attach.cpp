@@ -374,37 +374,30 @@ void attach_stage_graph(Monitor& mon, const flow::StageGraph& graph,
 
 void attach_fault_plan(Monitor& mon, net::FaultPlan& plan,
                        const std::string& prefix) {
-  // Observer state lives in a checker object so it survives as long as the
-  // monitor; the plan notifies begin/end transitions always-on.
-  struct Brackets {
-    std::uint64_t begins = 0;
-    std::uint64_t ends = 0;
-  };
-  auto& b = mon.make_checker<Brackets>();
-  plan.add_observer([&mon, &b, prefix](const net::FaultEvent& ev,
-                                       bool active) {
-    if (active) {
-      ++b.begins;
-    } else {
-      ++b.ends;
-      if (b.ends > b.begins) {
-        mon.violation(prefix + ".bracket",
-                      fmt("fault '%s' reverted more times than applied",
-                          ev.target.c_str()));
-      }
+  // The plan counts its own transitions before notifying observers, so the
+  // bracket check reads the same counts the obs probes export.
+  plan.add_observer([&mon, &plan, prefix](const net::FaultEvent& ev,
+                                          bool active) {
+    if (!active && plan.ends(ev.kind) > plan.begins(ev.kind)) {
+      mon.violation(prefix + ".bracket",
+                    fmt("fault '%s' reverted more times than applied",
+                        ev.target.c_str()));
     }
     mon.note(fmt("fault %s %s %s", to_string(ev.kind), ev.target.c_str(),
                  active ? "begin" : "end"));
   });
   mon.add_drain_check(prefix + ".all-reverted",
-                      [&plan, &b]() -> std::optional<std::string> {
-                        if (plan.active_faults() == 0 && b.begins == b.ends)
+                      [&plan]() -> std::optional<std::string> {
+                        if (plan.active_faults() == 0 &&
+                            plan.begins() == plan.ends())
                           return std::nullopt;
                         return fmt("%d fault(s) still active at drain "
                                    "(begins=%llu ends=%llu)",
                                    plan.active_faults(),
-                                   static_cast<unsigned long long>(b.begins),
-                                   static_cast<unsigned long long>(b.ends));
+                                   static_cast<unsigned long long>(
+                                       plan.begins()),
+                                   static_cast<unsigned long long>(
+                                       plan.ends()));
                       });
 }
 

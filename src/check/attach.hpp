@@ -173,9 +173,10 @@ void attach_stage_graph(Monitor& mon, const flow::StageGraph& graph,
                         const std::string& prefix);
 
 // --- faults -----------------------------------------------------------------
-// Observer-based bracket check: every fault that begins also ends (no
+// Bracket check over the plan's own begins()/ends() counts: no kind ends
+// more often than it began, and every fault that begins also ends (no
 // fault still active once the plan's horizon has passed and the run
-// drained), and active_faults() never goes negative.
+// drained).
 void attach_fault_plan(Monitor& mon, net::FaultPlan& plan,
                        const std::string& prefix = "fault");
 

@@ -1,6 +1,7 @@
 #include "net/fault.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 namespace gtw::net {
@@ -71,6 +72,14 @@ des::SimTime FaultPlan::horizon() const {
   return end;
 }
 
+std::uint64_t FaultPlan::begins() const {
+  return std::accumulate(begins_.begin(), begins_.end(), std::uint64_t{0});
+}
+
+std::uint64_t FaultPlan::ends() const {
+  return std::accumulate(ends_.begin(), ends_.end(), std::uint64_t{0});
+}
+
 void FaultPlan::arm(std::shared_ptr<Scripted> s) {
   events_.push_back(s);
   sched_->schedule_at(s->ev.at, [this, s]() {
@@ -86,6 +95,7 @@ void FaultPlan::arm(std::shared_ptr<Scripted> s) {
 }
 
 void FaultPlan::notify(const FaultEvent& ev, bool active) {
+  ++(active ? begins_ : ends_)[static_cast<std::size_t>(ev.kind)];
   for (const auto& obs : observers_) obs(ev, active);
 }
 

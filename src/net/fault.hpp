@@ -11,6 +11,7 @@
 // wire themselves to the script without net depending on them.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,6 +27,7 @@ namespace gtw::net {
 
 struct FaultEvent {
   enum class Kind { kLinkDown, kBerBurst, kHostOutage, kBufferSqueeze };
+  static constexpr std::size_t kKinds = 4;
   Kind kind = Kind::kLinkDown;
   std::string target;   // link or host name, for logs and bench output
   des::SimTime at;
@@ -44,8 +46,8 @@ class FaultPlan {
   FaultPlan& operator=(const FaultPlan&) = delete;
 
   // `active` is true when the fault has just been applied, false when it
-  // has just been reverted.  Observers run after the state change, in
-  // registration order.
+  // has just been reverted.  Observers run after the state change and the
+  // transition counts below, in registration order.
   using Observer = std::function<void(const FaultEvent&, bool active)>;
   void add_observer(Observer obs) { observers_.push_back(std::move(obs)); }
 
@@ -67,6 +69,16 @@ class FaultPlan {
   // True while any scripted fault is in effect — the usual signal a caller
   // forwards into flow::StageGraph::set_degraded.
   bool any_active() const { return active_ > 0; }
+  // Begin/end transitions so far, per kind and in total.  The plan owns
+  // these counts; obs probes and GTW-San's bracket check both read them.
+  std::uint64_t begins(FaultEvent::Kind kind) const {
+    return begins_[static_cast<std::size_t>(kind)];
+  }
+  std::uint64_t ends(FaultEvent::Kind kind) const {
+    return ends_[static_cast<std::size_t>(kind)];
+  }
+  std::uint64_t begins() const;
+  std::uint64_t ends() const;
   // End of the last scripted fault (zero when nothing is scheduled).
   des::SimTime horizon() const;
 
@@ -84,6 +96,8 @@ class FaultPlan {
   std::vector<std::shared_ptr<Scripted>> events_;
   std::vector<Observer> observers_;
   int active_ = 0;
+  std::array<std::uint64_t, FaultEvent::kKinds> begins_{};
+  std::array<std::uint64_t, FaultEvent::kKinds> ends_{};
 };
 
 }  // namespace gtw::net

@@ -64,7 +64,6 @@ void write_chrome_trace(std::ostream& os, const trace::TraceRecorder& rec,
              "}");
         break;
       case trace::EventKind::kSend: {
-        if (!opts.flow_arrows) break;
         const std::uint64_t id = next_flow_id++;
         in_flight[{e.rank, e.id, e.tag}].push_back(id);
         emit("{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"pid\":0,"
@@ -75,7 +74,6 @@ void write_chrome_trace(std::ostream& os, const trace::TraceRecorder& rec,
         break;
       }
       case trace::EventKind::kRecv: {
-        if (!opts.flow_arrows) break;
         const auto key = std::make_tuple(e.id, e.rank, e.tag);
         const auto it = in_flight.find(key);
         if (it == in_flight.end() || it->second.empty()) break;  // unmatched
@@ -116,33 +114,14 @@ void write_chrome_trace(std::ostream& os, const trace::TraceRecorder& rec,
 
 void write_metrics_json(std::ostream& os, const Registry& reg,
                         const std::string& label) {
-  const auto snap = reg.snapshot();
   os << "{\n  \"label\": \"" << json_escape(label) << "\",\n  \"metrics\": {";
   bool first = true;
-  for (const Registry::Sample& s : snap) {
-    if (s.kind == Registry::Kind::kHistogram) continue;
+  for (const Registry::Sample& s : reg.snapshot()) {
     os << (first ? "\n" : ",\n") << "    \"" << json_escape(s.name) << "\": ";
-    if (s.is_float)
+    if (s.kind == Registry::Kind::kGauge)
       os << fmt_double(s.d);
     else
       os << s.u;
-    first = false;
-  }
-  os << "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const Registry::Sample& s : snap) {
-    if (s.kind != Registry::Kind::kHistogram) continue;
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(s.name)
-       << "\": {\"count\": " << s.hist->count()
-       << ", \"sum\": " << fmt_double(s.hist->sum()) << ", \"bounds\": [";
-    for (std::size_t i = 0; i < s.hist->bounds().size(); ++i)
-      os << (i ? ", " : "") << fmt_double(s.hist->bounds()[i]);
-    os << "], \"buckets\": [";
-    for (std::size_t i = 0; i < s.hist->buckets().size(); ++i)
-      os << (i ? ", " : "") << s.hist->buckets()[i];
-    os << "], \"p50\": " << fmt_double(s.hist->quantile(0.50))
-       << ", \"p90\": " << fmt_double(s.hist->quantile(0.90))
-       << ", \"p99\": " << fmt_double(s.hist->quantile(0.99)) << "}";
     first = false;
   }
   os << "\n  },\n  \"marks\": [";

@@ -27,8 +27,6 @@ namespace gtw::obs {
 
 struct ChromeTraceOptions {
   std::string process_name = "gtw";
-  // Emit flow arrows for matched send/recv pairs.
-  bool flow_arrows = true;
   // Optional extra tracks.
   const TimeSeriesSampler* series = nullptr;  // counter tracks (ph "C")
   const Registry* marks_from = nullptr;       // instant events (ph "i")
@@ -37,8 +35,8 @@ struct ChromeTraceOptions {
 void write_chrome_trace(std::ostream& os, const trace::TraceRecorder& rec,
                         const ChromeTraceOptions& opts = {});
 
-// {"label": ..., "metrics": {name: value, ...}, "histograms": {...},
-//  "marks": [...]} — instruments in lexicographic name order.
+// {"label": ..., "metrics": {name: value, ...}, "marks": [...]} — probes in
+// lexicographic name order.
 void write_metrics_json(std::ostream& os, const Registry& reg,
                         const std::string& label = "");
 

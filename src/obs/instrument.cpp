@@ -271,18 +271,25 @@ void instrument_stage_graph(Registry& reg, const flow::StageGraph& graph,
 
 void attach_fault_plan(Registry& reg, net::FaultPlan& plan,
                        const std::string& prefix) {
-  // Eager so the totals exist (as zeros) even when no fault ever fires.
-  reg.counter(prefix + ".begins");
-  reg.counter(prefix + ".ends");
+  // Totals are eager so they read as zeros even when no fault ever fires.
+  reg.probe_counter(prefix + ".begins", [&plan] { return plan.begins(); });
+  reg.probe_counter(prefix + ".ends", [&plan] { return plan.ends(); });
   reg.probe_gauge(prefix + ".active", [&plan] {
     return static_cast<double>(plan.active_faults());
   });
-  plan.add_observer([&reg, prefix](const net::FaultEvent& ev, bool active) {
-    const std::string kind = net::to_string(ev.kind);
-    reg.counter(prefix + (active ? ".begins" : ".ends")).add();
-    reg.counter(prefix + "." + kind + (active ? ".begins" : ".ends")).add();
-    reg.mark(prefix + "." + kind + "." + ev.target,
-             active ? ev.at : ev.at + ev.duration, active);
+  plan.add_observer([&reg, &plan, prefix](const net::FaultEvent& ev,
+                                          bool active) {
+    const std::string p = prefix + "." + net::to_string(ev.kind);
+    // A kind's pair appears on its first begin, so only kinds the script
+    // exercises show up in the snapshot.
+    if (!reg.contains(p + ".begins")) {
+      const net::FaultEvent::Kind kind = ev.kind;
+      reg.probe_counter(p + ".begins",
+                        [&plan, kind] { return plan.begins(kind); });
+      reg.probe_counter(p + ".ends", [&plan, kind] { return plan.ends(kind); });
+    }
+    reg.mark(p + "." + ev.target, active ? ev.at : ev.at + ev.duration,
+             active);
   });
 }
 

@@ -7,8 +7,9 @@
 // instrumentation cannot perturb the DES schedule or any result.
 //
 // attach_fault_plan is the one active hook: it registers a FaultPlan
-// observer that counts begin/end transitions and drops a Mark per
-// transition so outages show up as instant events in the Chrome trace.
+// observer that probes each fault kind's transition counts once that kind
+// first begins and drops a Mark per transition, so outages show up as
+// instant events in the Chrome trace.
 //
 // Lifetime: probes capture references; the instrumented component must
 // outlive the Registry (or at least every snapshot taken from it).
@@ -82,8 +83,9 @@ void instrument_path_transport(Registry& reg, const meta::PathTransport& path,
 void instrument_stage_graph(Registry& reg, const flow::StageGraph& graph,
                             const std::string& prefix);
 
-// Counts fault begin/end transitions per kind under <prefix>.* , probes the
-// number of currently active faults, and records a Mark per transition.
+// <prefix>.{begins,ends,active} plus <prefix>.<kind>.{begins,ends} for each
+// kind that has begun: probes over the plan's own transition counts, and a
+// Mark per transition.
 void attach_fault_plan(Registry& reg, net::FaultPlan& plan,
                        const std::string& prefix = "fault");
 

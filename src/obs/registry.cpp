@@ -1,97 +1,27 @@
 #include "obs/registry.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace gtw::obs {
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  if (bounds_.empty())
-    throw std::logic_error("obs: histogram needs at least one bucket bound");
-  if (!std::is_sorted(bounds_.begin(), bounds_.end()))
-    throw std::logic_error("obs: histogram bounds must be sorted ascending");
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::add(double x) {
-  std::size_t i = 0;
-  while (i < bounds_.size() && x > bounds_[i]) ++i;
-  ++counts_[i];
-  ++count_;
-  sum_ += x;
-}
-
-double Histogram::quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      if (i >= bounds_.size()) return bounds_.back();  // overflow: clamp
-      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-      const double hi = bounds_[i];
-      const double frac =
-          (target - cum) / static_cast<double>(counts_[i]);
-      return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-    }
-    cum = next;
-  }
-  return bounds_.back();
-}
-
 Registry::Instrument& Registry::define(const std::string& name, Kind kind) {
   if (name.empty()) throw std::logic_error("obs: empty instrument name");
   auto [it, inserted] = instruments_.try_emplace(name);
-  if (inserted) {
-    it->second.kind = kind;
-  } else if (it->second.kind != kind) {
+  if (!inserted)
     throw std::logic_error("obs: instrument name collision on '" + name +
-                           "' (existing kind differs)");
-  }
+                           "'");
+  it->second.kind = kind;
   return it->second;
-}
-
-Counter& Registry::counter(const std::string& name) {
-  Instrument& ins = define(name, Kind::kCounter);
-  if (ins.counter_fn)
-    throw std::logic_error("obs: '" + name + "' is a probe, not a counter");
-  return ins.counter;
-}
-
-Gauge& Registry::gauge(const std::string& name) {
-  Instrument& ins = define(name, Kind::kGauge);
-  if (ins.gauge_fn)
-    throw std::logic_error("obs: '" + name + "' is a probe, not a gauge");
-  return ins.gauge;
-}
-
-Histogram& Registry::histogram(const std::string& name,
-                               std::vector<double> bounds) {
-  Instrument& ins = define(name, Kind::kHistogram);
-  if (!ins.hist) ins.hist = std::make_unique<Histogram>(std::move(bounds));
-  return *ins.hist;
 }
 
 void Registry::probe_counter(const std::string& name,
                              std::function<std::uint64_t()> fn) {
-  auto [it, inserted] = instruments_.try_emplace(name);
-  if (!inserted)
-    throw std::logic_error("obs: instrument name collision on '" + name +
-                           "' (probe over existing instrument)");
-  it->second.kind = Kind::kCounter;
-  it->second.counter_fn = std::move(fn);
+  define(name, Kind::kCounter).counter_fn = std::move(fn);
 }
 
 void Registry::probe_gauge(const std::string& name,
                            std::function<double()> fn) {
-  auto [it, inserted] = instruments_.try_emplace(name);
-  if (!inserted)
-    throw std::logic_error("obs: instrument name collision on '" + name +
-                           "' (probe over existing instrument)");
-  it->second.kind = Kind::kGauge;
-  it->second.gauge_fn = std::move(fn);
+  define(name, Kind::kGauge).gauge_fn = std::move(fn);
 }
 
 void Registry::mark(const std::string& name, des::SimTime t, bool begin) {
@@ -107,16 +37,9 @@ double Registry::read(const std::string& name) const {
   if (it == instruments_.end())
     throw std::out_of_range("obs: unknown instrument '" + name + "'");
   const Instrument& ins = it->second;
-  switch (ins.kind) {
-    case Kind::kCounter:
-      return static_cast<double>(ins.counter_fn ? ins.counter_fn()
-                                                : ins.counter.value());
-    case Kind::kGauge:
-      return ins.gauge_fn ? ins.gauge_fn() : ins.gauge.value();
-    case Kind::kHistogram:
-      return static_cast<double>(ins.hist->count());
-  }
-  return 0.0;
+  return ins.kind == Kind::kCounter
+             ? static_cast<double>(ins.counter_fn())
+             : ins.gauge_fn();
 }
 
 std::vector<Registry::Sample> Registry::snapshot() const {
@@ -126,20 +49,10 @@ std::vector<Registry::Sample> Registry::snapshot() const {
     Sample s;
     s.name = name;
     s.kind = ins.kind;
-    switch (ins.kind) {
-      case Kind::kCounter:
-        s.u = ins.counter_fn ? ins.counter_fn() : ins.counter.value();
-        break;
-      case Kind::kGauge:
-        s.d = ins.gauge_fn ? ins.gauge_fn() : ins.gauge.value();
-        s.is_float = true;
-        break;
-      case Kind::kHistogram:
-        s.u = ins.hist->count();
-        s.d = ins.hist->sum();
-        s.hist = ins.hist.get();
-        break;
-    }
+    if (ins.kind == Kind::kCounter)
+      s.u = ins.counter_fn();
+    else
+      s.d = ins.gauge_fn();
     out.push_back(std::move(s));
   }
   return out;

@@ -215,6 +215,53 @@ TEST(FaultPlanTest, ObserversSeeBeginAndEndInOrder) {
   EXPECT_STREQ(to_string(FaultEvent::Kind::kLinkDown), "link_down");
 }
 
+// The plan owns its transition counts: per kind and in total they match
+// what an observer sees, and they are already bumped when observers run.
+TEST(FaultPlanTest, CountsTransitionsPerKind) {
+  FaultFixture f;
+  FaultPlan plan(f.sched);
+  std::uint64_t seen_begins[FaultEvent::kKinds] = {};
+  std::uint64_t seen_ends[FaultEvent::kKinds] = {};
+  plan.add_observer([&](const FaultEvent& ev, bool active) {
+    const auto k = static_cast<std::size_t>(ev.kind);
+    ++(active ? seen_begins : seen_ends)[k];
+    EXPECT_EQ(plan.begins(ev.kind), seen_begins[k]);
+    EXPECT_EQ(plan.ends(ev.kind), seen_ends[k]);
+  });
+
+  plan.link_down(f.toward_b(), ms(10), ms(30));
+  plan.ber_burst(f.toward_b(), ms(20), ms(40), 1e-6);
+  plan.link_down(f.toward_b(), ms(100), ms(10));
+  plan.host_outage(f.b, ms(50), ms(20));
+  EXPECT_EQ(plan.begins(), 0u);
+  EXPECT_EQ(plan.ends(), 0u);
+
+  f.sched.run(ms(55));  // first link_down over, burst and outage active
+  EXPECT_EQ(plan.begins(FaultEvent::Kind::kLinkDown), 1u);
+  EXPECT_EQ(plan.ends(FaultEvent::Kind::kLinkDown), 1u);
+  EXPECT_EQ(plan.begins(FaultEvent::Kind::kBerBurst), 1u);
+  EXPECT_EQ(plan.ends(FaultEvent::Kind::kBerBurst), 0u);
+  EXPECT_EQ(plan.begins(FaultEvent::Kind::kHostOutage), 1u);
+  EXPECT_EQ(plan.begins(), 3u);
+  EXPECT_EQ(plan.ends(), 1u);
+  EXPECT_EQ(plan.begins() - plan.ends(),
+            static_cast<std::uint64_t>(plan.active_faults()));
+
+  f.sched.run();
+  EXPECT_EQ(plan.begins(FaultEvent::Kind::kLinkDown), 2u);
+  EXPECT_EQ(plan.ends(FaultEvent::Kind::kLinkDown), 2u);
+  EXPECT_EQ(plan.ends(FaultEvent::Kind::kBerBurst), 1u);
+  EXPECT_EQ(plan.ends(FaultEvent::Kind::kHostOutage), 1u);
+  EXPECT_EQ(plan.begins(FaultEvent::Kind::kBufferSqueeze), 0u);
+  EXPECT_EQ(plan.begins(), 4u);
+  EXPECT_EQ(plan.ends(), 4u);
+  for (std::size_t k = 0; k < FaultEvent::kKinds; ++k) {
+    const auto kind = static_cast<FaultEvent::Kind>(k);
+    EXPECT_EQ(plan.begins(kind), seen_begins[k]) << to_string(kind);
+    EXPECT_EQ(plan.ends(kind), seen_ends[k]) << to_string(kind);
+  }
+}
+
 // The same script must replay bit-identically: every counter of two
 // independent runs agrees exactly.
 TEST(FaultPlanTest, SameScriptReplaysIdentically) {

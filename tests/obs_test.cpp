@@ -12,6 +12,7 @@
 
 #include "des/scheduler.hpp"
 #include "net/atm.hpp"
+#include "net/fault.hpp"
 #include "net/host.hpp"
 #include "net/tcp.hpp"
 #include "net/units.hpp"
@@ -39,46 +40,30 @@ std::string read_golden(const std::string& name) {
 
 // ---------------------------------------------------------------- registry
 
-TEST(ObsRegistryTest, CounterGaugeHistogramBasics) {
-  obs::Registry reg;
-  reg.counter("a.events").add();
-  reg.counter("a.events").add(4);
-  reg.gauge("a.level").set(0.75);
-  obs::Histogram& h = reg.histogram("a.delay", {1.0, 10.0, 100.0});
-  h.add(0.5);
-  h.add(5.0);
-  h.add(5000.0);
-
-  EXPECT_EQ(reg.counter("a.events").value(), 5u);
-  EXPECT_DOUBLE_EQ(reg.gauge("a.level").value(), 0.75);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 5005.5);
-  EXPECT_EQ(h.buckets(), (std::vector<std::uint64_t>{1, 1, 0, 1}));
-  EXPECT_EQ(reg.size(), 3u);
-  EXPECT_DOUBLE_EQ(reg.read("a.events"), 5.0);
-  EXPECT_DOUBLE_EQ(reg.read("a.delay"), 3.0);  // histograms read as count
-}
-
 TEST(ObsRegistryTest, NameCollisionAcrossKindsThrows) {
   obs::Registry reg;
-  reg.counter("x");
-  EXPECT_NO_THROW(reg.counter("x"));  // define-or-fetch, same kind
-  EXPECT_THROW(reg.gauge("x"), std::logic_error);
-  EXPECT_THROW(reg.histogram("x", {1.0}), std::logic_error);
+  reg.probe_counter("x", [] { return std::uint64_t{0}; });
+  EXPECT_THROW(reg.probe_counter("x", [] { return std::uint64_t{1}; }),
+               std::logic_error);  // same kind: still a wiring bug
+  EXPECT_THROW(reg.probe_gauge("x", [] { return 1.0; }), std::logic_error);
 
   reg.probe_gauge("p", [] { return 1.0; });
   EXPECT_THROW(reg.probe_gauge("p", [] { return 2.0; }), std::logic_error);
-  EXPECT_THROW(reg.gauge("p"), std::logic_error);
-  EXPECT_THROW(reg.probe_counter("x", [] { return std::uint64_t{0}; }),
+  EXPECT_THROW(reg.probe_counter("p", [] { return std::uint64_t{0}; }),
                std::logic_error);
+  EXPECT_THROW(reg.probe_counter("", [] { return std::uint64_t{0}; }),
+               std::logic_error);
+  EXPECT_EQ(reg.size(), 2u);
+  EXPECT_DOUBLE_EQ(reg.read("x"), 0.0);  // the first registration stands
+  EXPECT_DOUBLE_EQ(reg.read("p"), 1.0);
 }
 
 TEST(ObsRegistryTest, SnapshotIsLexicographicallyOrderedAndStable) {
   obs::Registry reg;
   // Deliberately defined out of order.
-  reg.counter("net.link.z.tx");
-  reg.gauge("fire.stage.a.occupancy");
-  reg.counter("net.link.a.tx");
+  reg.probe_counter("net.link.z.tx", [] { return std::uint64_t{1}; });
+  reg.probe_gauge("fire.stage.a.occupancy", [] { return 0.5; });
+  reg.probe_counter("net.link.a.tx", [] { return std::uint64_t{2}; });
   reg.probe_counter("meta.comm.messages", [] { return std::uint64_t{7}; });
 
   std::vector<std::string> names;
@@ -271,6 +256,45 @@ TEST(ObsTcpInstrumentationTest, InstrumentationDoesNotPerturbSimulation) {
   EXPECT_EQ(run(false), run(true));
 }
 
+// attach_fault_plan probes the plan's own transition counts: the totals
+// exist (as zeros) before any fault fires, and a kind's pair appears only
+// once that kind first begins.
+TEST(ObsFaultPlanTest, ProbesReadThePlansTransitionCounts) {
+  TcpFixture f;
+  net::FaultPlan plan(f.sched);
+  obs::Registry reg;
+  obs::attach_fault_plan(reg, plan);
+  plan.link_down(f.sw.egress_link(f.pb), des::SimTime::milliseconds(10),
+                 des::SimTime::milliseconds(30));
+  plan.host_outage(f.b, des::SimTime::milliseconds(100),
+                   des::SimTime::milliseconds(20));
+
+  EXPECT_DOUBLE_EQ(reg.read("fault.begins"), 0.0);
+  EXPECT_DOUBLE_EQ(reg.read("fault.ends"), 0.0);
+  EXPECT_DOUBLE_EQ(reg.read("fault.active"), 0.0);
+  EXPECT_EQ(reg.size(), 3u);
+
+  f.sched.run(des::SimTime::milliseconds(20));  // link down, host still up
+  EXPECT_DOUBLE_EQ(reg.read("fault.begins"), 1.0);
+  EXPECT_DOUBLE_EQ(reg.read("fault.active"), 1.0);
+  EXPECT_DOUBLE_EQ(reg.read("fault.link_down.begins"), 1.0);
+  EXPECT_DOUBLE_EQ(reg.read("fault.link_down.ends"), 0.0);
+  EXPECT_FALSE(reg.contains("fault.host_outage.begins"));
+  EXPECT_FALSE(reg.contains("fault.ber_burst.begins"));
+
+  f.sched.run();
+  EXPECT_DOUBLE_EQ(reg.read("fault.begins"), 2.0);
+  EXPECT_DOUBLE_EQ(reg.read("fault.ends"), 2.0);
+  EXPECT_DOUBLE_EQ(reg.read("fault.active"), 0.0);
+  EXPECT_DOUBLE_EQ(reg.read("fault.link_down.ends"), 1.0);
+  EXPECT_DOUBLE_EQ(reg.read("fault.host_outage.begins"), 1.0);
+  EXPECT_DOUBLE_EQ(reg.read("fault.host_outage.ends"), 1.0);
+  EXPECT_FALSE(reg.contains("fault.ber_burst.begins"));
+  EXPECT_EQ(reg.size(), 7u);
+  ASSERT_EQ(reg.marks().size(), 4u);
+  EXPECT_EQ(reg.marks()[0].name, "fault.link_down.sw.port1");
+}
+
 // --------------------------------------------------------------- exporters
 
 TEST(ObsChromeExportTest, EmptyTraceMatchesGolden) {
@@ -299,37 +323,16 @@ TEST(ObsChromeExportTest, SmallTraceMatchesGolden) {
 
 TEST(ObsChromeExportTest, MetricsJsonMatchesGolden) {
   obs::Registry reg;
-  reg.counter("net.link.wan.tx_bytes").add(123456789);
-  reg.gauge("net.link.wan.utilization").set(0.640625);
-  obs::Histogram& h = reg.histogram("fire.delay_s", {1.0, 5.0});
-  // Exactly-representable doubles so the %.17g golden is portable.
-  h.add(0.5);
-  h.add(4.25);
-  h.add(4.25);
-  h.add(9.0);
+  reg.probe_counter("net.link.wan.tx_bytes",
+                    [] { return std::uint64_t{123456789}; });
+  // Exactly-representable double so the %.17g golden is portable.
+  reg.probe_gauge("net.link.wan.utilization", [] { return 0.640625; });
   reg.mark("fault.link_down.wan", des::SimTime::seconds(15), true);
   reg.mark("fault.link_down.wan", des::SimTime::seconds(17), false);
 
   std::ostringstream os;
   obs::write_metrics_json(os, reg, "golden");
   EXPECT_EQ(os.str(), read_golden("metrics_small.json")) << os.str();
-}
-
-// Quantile estimation over explicit buckets: interpolation inside the
-// covering bucket, 0-anchored first bucket, overflow clamped to the top
-// bound, and the empty-histogram degenerate case.
-TEST(ObsRegistryTest, HistogramQuantiles) {
-  obs::Histogram h({10.0, 20.0, 40.0});
-  EXPECT_EQ(h.quantile(0.5), 0.0);  // empty
-  for (int i = 0; i < 10; ++i) h.add(5.0);    // bucket [0,10]
-  for (int i = 0; i < 10; ++i) h.add(15.0);   // bucket (10,20]
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.25), 5.0);    // midway through bucket 0
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 10.0);    // exactly the bucket edge
-  EXPECT_DOUBLE_EQ(h.quantile(0.75), 15.0);   // midway through bucket 1
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 20.0);
-  h.add(1000.0);                              // overflow bucket
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 40.0);    // clamped to the top bound
 }
 
 // Traces beyond 65k events must export with unique flow ids and stay

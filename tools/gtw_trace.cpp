@@ -29,17 +29,23 @@
 //                                                with flow arrows on the
 //                                                parent->child span edges
 //
-// A missing, malformed, or truncated spans artifact (footer counts
-// disagree with the lines present) is a non-zero exit with a one-line
-// reason — CI depends on that.
+// A missing, malformed, or truncated artifact — a .gtwt with a bad magic
+// or a short read, a spans file whose footer counts disagree with the
+// lines present — is exit 1 with a one-line reason; a bad flag value is
+// usage and exit 2.  CI depends on those exit codes.
 //
 // Flags combine; sections print in the order given above.
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "obs/exporter.hpp"
@@ -349,8 +355,17 @@ int main(int argc, char** argv) {
       profile = true;
     } else if (arg == "--gantt") {
       gantt = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-')
-        gantt_cols = std::stoi(argv[++i]);
+      if (i + 1 < argc && argv[i + 1][0] != '-') {
+        const std::string_view cols = argv[++i];
+        const auto [end, ec] = std::from_chars(
+            cols.data(), cols.data() + cols.size(), gantt_cols);
+        if (ec != std::errc() || end != cols.data() + cols.size() ||
+            gantt_cols <= 0) {
+          std::cerr << "gtw-trace: bad --gantt column count '" << cols
+                    << "'\n";
+          return usage(argv[0]);
+        }
+      }
     } else if (arg == "--msg-matrix") {
       msg_matrix = true;
     } else if (arg == "--metrics") {
@@ -372,7 +387,16 @@ int main(int argc, char** argv) {
     std::cerr << "gtw-trace: cannot open '" << path << "'\n";
     return 1;
   }
-  TraceRecorder rec = TraceRecorder::read(in);
+  // A corrupt or truncated .gtwt is a one-line reason and exit 1, not an
+  // uncaught exception.
+  std::optional<TraceRecorder> loaded;
+  try {
+    loaded.emplace(TraceRecorder::read(in));
+  } catch (const std::exception& e) {
+    std::cerr << "gtw-trace: " << path << ": " << e.what() << "\n";
+    return 1;
+  }
+  const TraceRecorder& rec = *loaded;
   const TraceStats stats(rec);
 
   const bool any_section =

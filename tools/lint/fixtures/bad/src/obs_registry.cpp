@@ -7,10 +7,10 @@
 namespace gtw {
 
 void install(obs::Registry& reg) {
-  reg.counter("wan.bytes_total");  // finding: kind collision (counter here)
-  reg.gauge("wan.bytes_total");    // finding: kind collision (gauge here)
-  reg.probe_counter("wan.Retries", [] { return 0.0; });  // finding: case twin
-  reg.counter("wan.retries");                            // finding: case twin
+  reg.probe_counter("wan.bytes_total", [] { return 0u; });  // finding: kind collision (counter here)
+  reg.probe_gauge("wan.bytes_total", [] { return 0.0; });   // finding: kind collision (gauge here)
+  reg.probe_counter("wan.Retries", [] { return 0u; });      // finding: case twin
+  reg.probe_counter("wan.retries", [] { return 0u; });      // finding: case twin
 }
 
 }  // namespace gtw

@@ -1,6 +1,6 @@
 // Fixture: obs-name-registry must stay silent on consistent re-registration
-// (same name, same kind), prefixed dynamic names, and distinct metrics.
-// Not compiled — lint fixture only.
+// (same leaf, same kind, under different prefixes), prefixed dynamic names,
+// and distinct metrics.  Not compiled — lint fixture only.
 
 #include <string>
 
@@ -9,10 +9,12 @@
 namespace gtw {
 
 void install(obs::Registry& reg, const std::string& prefix) {
-  reg.counter("wan.bytes_total");
-  reg.counter("wan.bytes_total");      // same name + same kind: fine
-  reg.gauge(prefix + "window_bytes");  // prefix + leaf literal: fine
-  reg.histogram("wan.rtt_ms", {1.0, 2.0, 4.0});
+  reg.probe_counter("wan.bytes_total", [] { return 0u; });
+  reg.probe_counter(prefix + "wan.bytes_total",
+                    [] { return 0u; });  // same leaf + same kind: fine
+  reg.probe_gauge(prefix + "window_bytes",
+                  [] { return 0.0; });  // prefix + leaf literal: fine
+  reg.probe_counter("wan.rtt_samples", [] { return 0u; });
   reg.probe_gauge("wan.queue_depth", [] { return 0.0; });
 }
 

@@ -22,7 +22,7 @@ const char* kDoc =
 const char* kSnippet = R"lint(
 std::unordered_map<int*, int> m;
 double rate_bps = 2.4e9;
-reg.counter("wan.X"); reg.gauge("wan.x"); reg.gauge("wan.X");
+reg.probe_counter("wan.X", f); reg.probe_gauge("wan.x", g); reg.probe_gauge("wan.X", g);
 sched.schedule_after(dt, [&] { boom(); });
 std::chrono::system_clock::now(); time(nullptr);
 new Event(); malloc(64);

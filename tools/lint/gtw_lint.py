@@ -87,8 +87,8 @@ Whole-project rules (run after per-file scanning)
                         witnesses.  (The declared DAG itself is validated
                         acyclic at load time.)
   obs-name-registry     Every dotted-name string literal registered through
-                        counter()/gauge()/histogram()/probe_counter()/
-                        probe_gauge() is collected tree-wide (src/ only).
+                        probe_counter()/probe_gauge() is collected
+                        tree-wide (src/ only).
                         The same leaf name registered with two different
                         instrument kinds, or two names differing only by
                         case, is a wiring bug.  The collected names form a
@@ -1198,9 +1198,6 @@ def check_layering(files: list[SourceFile],
 # ---------------------------------------------------------------------------
 
 OBS_REGISTER = {
-    "counter": "counter",
-    "gauge": "gauge",
-    "histogram": "histogram",
     "probe_counter": "counter",
     "probe_gauge": "gauge",
 }
