@@ -21,7 +21,6 @@
 #include "obs/span.hpp"
 #include "scanner/phantom.hpp"
 #include "testbed/testbed.hpp"
-#include "trace/trace.hpp"
 #include "viz/merge.hpp"
 #include "viz/workbench.hpp"
 
@@ -59,17 +58,17 @@ void print_fig2(bool with_trace) {
       {&tb.scanner_frontend(), &tb.gw_o200(), &tb.onyx2_juelich()}, cfg,
       [&gen](int t) { return gen.acquire(t); }, &engine);
 
-  // --trace: record a VAMPIR-style stage trace and attach the observability
-  // registry.  Everything here is read-only probes plus sampler ticks, so
-  // the pipeline results (and BENCH_*.json) are unchanged by tracing.
-  trace::TraceRecorder rec(4);  // transfer / compute / return / display
+  // --trace: attach the span tracer and the observability registry.
+  // Everything here is read-only probes plus sampler ticks, so the pipeline
+  // results (and BENCH_*.json) are unchanged by tracing.
   obs::Registry reg;
   obs::TimeSeriesSampler sampler(tb.scheduler(), reg);
   if (with_trace) {
-    pipe.attach_trace(&rec);
     // Causal span tracing (DESIGN.md section 13): per-scan latency trees
-    // rooted at pipeline admission.  Observe-only — attaching the hook
-    // schedules nothing and BENCH_*.json stays byte-identical.
+    // rooted at pipeline admission, whose per-stage compute spans are the
+    // VAMPIR views (gtw-trace --profile/--gantt/--msg-matrix).
+    // Observe-only — attaching the hook schedules nothing and BENCH_*.json
+    // stays byte-identical.
     tb.scheduler().set_span_hook(&spans);
     obs::instrument_link(reg, tb.wan_link_j_to_g(), "net.link.wan_j_to_g");
     obs::instrument_link(reg, tb.wan_link_g_to_j(), "net.link.wan_g_to_j");
@@ -161,20 +160,6 @@ void print_fig2(bool with_trace) {
 
   if (with_trace) {
     {
-      std::ofstream gtwt("OBS_fig2_fmri_pipeline.trace.gtwt",
-                         std::ios::binary);
-      rec.write(gtwt);
-    }
-    {
-      std::ofstream chrome("OBS_fig2_fmri_pipeline.chrome.json",
-                           std::ios::binary);
-      obs::ChromeTraceOptions copts;
-      copts.process_name = "fig2_fmri_pipeline";
-      copts.series = &sampler;
-      copts.marks_from = &reg;
-      obs::write_chrome_trace(chrome, rec, copts);
-    }
-    {
       std::ofstream metrics("OBS_fig2_fmri_pipeline.metrics.json",
                             std::ios::binary);
       obs::write_metrics_json(metrics, reg, "fig2_fmri_pipeline");
@@ -188,8 +173,8 @@ void print_fig2(bool with_trace) {
       std::ofstream sp("OBS_fig2_fmri_pipeline.spans.json", std::ios::binary);
       spans.write_json(sp, "fig2_fmri_pipeline");
     }
-    std::printf("[wrote OBS_fig2_fmri_pipeline.{trace.gtwt,chrome.json,"
-                "metrics.json,series.json,spans.json}]\n\n");
+    std::printf("[wrote OBS_fig2_fmri_pipeline.{metrics.json,series.json,"
+                "spans.json}]\n\n");
   }
 }
 

@@ -1,21 +1,29 @@
 // Coupled-fields metacomputing: the TRACE (flow, on the SP2) / PARTRACE
 // (particles, on the T3E) pairing from section 3 of the paper, run over the
-// meta communication library across the simulated testbed, with a
-// VAMPIR-style trace of the exchange recorded and rendered.
+// meta communication library across the simulated testbed, with the
+// exchange traced as causal spans and rendered as VAMPIR views.
 //
 //   $ ./coupled_groundwater
 #include <cstdio>
+#include <iostream>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "apps/groundwater.hpp"
 #include "meta/communicator.hpp"
+#include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 #include "testbed/testbed.hpp"
-#include "trace/trace.hpp"
 
 int main() {
   using namespace gtw;
 
   testbed::Testbed tb{testbed::TestbedOptions{}};
+  // Trace the run like VAMPIR would: one span trace per coupling step.
+  // Declared before the transports, which retire their spans on teardown.
+  obs::SpanTracer spans;
+  tb.scheduler().set_span_hook(&spans);
   meta::Metacomputer mc(tb.scheduler());
 
   meta::MachineSpec sp2spec;
@@ -37,19 +45,13 @@ int main() {
   auto comm = std::make_shared<meta::Communicator>(
       mc, std::vector<meta::ProcLoc>{{m_sp2, 0}, {m_t3e, 0}});
 
-  // Trace the run like VAMPIR would.
-  trace::TraceRecorder rec(2);
-  const auto st_flow = rec.define_state("flow");
-  const auto st_advect = rec.define_state("advect");
-
   apps::TraceConfig cfg;
-  cfg.dims = {64, 64, 16};  // 64x64x16 x 3 components x f32 = 3.1 MB/step
+  cfg.dims = {64, 64, 16};  // 64x64x16 x 3 components x f32 = 0.79 MB/step
   std::printf("solving Darcy flow on a %dx%dx%d grid (SP2) and advecting "
               "400 particles (T3E), coupled every step...\n", cfg.dims.nx,
               cfg.dims.ny, cfg.dims.nz);
 
   apps::GroundwaterCoupling run(comm, cfg, /*particles=*/400, /*steps=*/15);
-  run.set_trace(&rec, st_flow, st_advect);
   run.start();
   tb.scheduler().run();
 
@@ -65,9 +67,20 @@ int main() {
   std::printf("particles still in the domain: %d / 400\n",
               res.particles_remaining);
 
-  trace::TraceStats stats(rec);
-  std::printf("\nVAMPIR-style summary:\n%s", stats.profile().c_str());
-  std::printf("\ntimeline (f = flow solve, a = advect):\n%s",
-              stats.gantt(64).c_str());
+  // The views read the spans artifact, exactly as gtw-trace does.
+  std::stringstream artifact;
+  spans.write_json(artifact, "coupled_groundwater");
+  obs::SpanFile f;
+  std::string error;
+  if (!obs::load_spans(artifact, "coupled_groundwater", f, error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
+  const obs::TrackViews views = obs::track_views(f);
+  std::printf("\nVAMPIR-style summary:\n");
+  obs::write_profile(std::cout, views);
+  obs::write_msg_matrix(std::cout, views);
+  std::cout << "\ntimeline:\n";
+  obs::write_gantt(std::cout, f, 64);
   return 0;
 }

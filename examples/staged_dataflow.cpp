@@ -1,14 +1,17 @@
 // The dataflow engine on its own: a three-stage acquire->compute->display
 // pipeline run in both of the paper's orchestration modes, with the
 // per-stage metrics report and the VAMPIR-style Gantt that every
-// flow::StageGraph provides for free.
+// flow::StageGraph provides for free once a span tracer is attached.
 #include <cstdio>
+#include <iostream>
+#include <sstream>
 #include <string>
 
 #include "des/scheduler.hpp"
 #include "flow/graph.hpp"
 #include "flow/stage.hpp"
-#include "trace/trace.hpp"
+#include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 
 using namespace gtw;
 
@@ -16,6 +19,9 @@ namespace {
 
 void run_mode(const char* label, flow::GraphConfig cfg) {
   des::Scheduler sched;
+  // Declared before the graph, which retires its spans on teardown.
+  obs::SpanTracer spans;
+  sched.set_span_hook(&spans);
   flow::StageGraph g(sched, cfg);
   g.add_stage(flow::compute_stage("transfer", [](const flow::Item&) {
     return des::SimTime::seconds(0.5);
@@ -24,9 +30,6 @@ void run_mode(const char* label, flow::GraphConfig cfg) {
     return des::SimTime::seconds(1.1);
   }, 1));
   g.add_stage(flow::delay_stage("display", des::SimTime::seconds(0.6)));
-
-  trace::TraceRecorder rec(g.stage_count());
-  g.attach_trace(&rec);
 
   des::SimTime last = des::SimTime::zero(), period = des::SimTime::zero();
   g.on_complete([&](const flow::Item&) {
@@ -41,8 +44,17 @@ void run_mode(const char* label, flow::GraphConfig cfg) {
   std::printf("== %s ==\n", label);
   std::printf("%s", g.metrics().report().c_str());
   std::printf("steady-state period %.2f s\n", period.sec());
-  trace::TraceStats stats(rec);
-  std::printf("%s\n", stats.gantt(64).c_str());
+  // The views read the spans artifact, exactly as gtw-trace does.
+  std::stringstream artifact;
+  spans.write_json(artifact, label);
+  obs::SpanFile f;
+  std::string error;
+  if (!obs::load_spans(artifact, label, f, error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return;
+  }
+  obs::write_gantt(std::cout, f, 64);
+  std::cout << "\n";
 }
 
 }  // namespace

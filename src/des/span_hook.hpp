@@ -84,8 +84,14 @@ struct SpanHook {
   // --- component integration -------------------------------------------
   // Mint a fresh trace rooted at `now` (workload origin).  The new context
   // becomes current until the surrounding event ends or adopt() replaces
-  // it.
-  virtual TraceContext mint(const char* origin, SimTime now) = 0;
+  // it.  [[nodiscard]], like begin_span: a discarded context or span id
+  // can never be closed, ended or aborted, so the leak would surface only
+  // as a failed drain census long after the call (tests/span_compile_fail).
+  // GCC 12 does not diagnose [[nodiscard]] on a call through the vtable,
+  // so the gnu:: spelling carries the check there (and, unlike
+  // [[nodiscard]], a void cast does not silence it).
+  [[nodiscard, gnu::warn_unused_result]] virtual TraceContext mint(
+      const char* origin, SimTime now) = 0;
   // The context the currently executing event is attributed to.
   virtual TraceContext current() const = 0;
   // Swap the current context (returns the previous one so call sites can
@@ -94,9 +100,9 @@ struct SpanHook {
   // Open a span under `parent` (use current() for "under whatever is
   // running").  Returns a span id, or 0 if the tracer filtered it out
   // (disabled layer); end/abort of id 0 is a no-op.
-  virtual std::uint64_t begin_span(TraceContext parent, SpanPhase phase,
-                                   const char* layer, const char* name,
-                                   SimTime now) = 0;
+  [[nodiscard, gnu::warn_unused_result]] virtual std::uint64_t begin_span(
+      TraceContext parent, SpanPhase phase, const char* layer,
+      const char* name, SimTime now) = 0;
   virtual void end_span(std::uint64_t span_id, SimTime now) = 0;
   // Close a span whose work was discarded (drop, reset, supersede); the
   // span is marked aborted rather than silently leaked.

@@ -45,20 +45,16 @@ void FmriPipeline::build_graph() {
   flow::StageConfig transfer;
   transfer.name = "transfer";
   transfer.concurrency = 1;  // one forward transfer at a time
-  transfer.body = [this, half_rpc](flow::StageContext ctx, flow::Item& it,
+  transfer.body = [this, half_rpc](flow::StageContext, flow::Item& it,
                                    flow::Done done) {
     const int index = it.index;
     records_[static_cast<std::size_t>(index)].sent = sched_.now();
-    ctx.trace_send(ctx.stage + 1, static_cast<std::uint32_t>(index),
-                   cfg_.image_bytes);
-    sched_.schedule_after(half_rpc, [this, ctx, index, done]() {
+    sched_.schedule_after(half_rpc, [this, index, done]() {
       to_compute_->send(
           0, cfg_.image_bytes, {},
-          [this, ctx, index, done](const std::any&, des::SimTime) {
+          [this, index, done](const std::any&, des::SimTime) {
             records_[static_cast<std::size_t>(index)].at_compute =
                 sched_.now();
-            ctx.trace_recv(ctx.stage + 1, static_cast<std::uint32_t>(index),
-                           cfg_.image_bytes);
             // Run the real numerics, if wired up (timing still from the
             // execution model — this host's wall clock is irrelevant).
             if (source_ && engine_ != nullptr)
@@ -80,16 +76,12 @@ void FmriPipeline::build_graph() {
   flow::StageConfig back;
   back.name = "return";
   back.concurrency = 0;
-  back.body = [this, half_rpc](flow::StageContext ctx, flow::Item& it,
+  back.body = [this, half_rpc](flow::StageContext, flow::Item& it,
                                flow::Done done) {
     const int index = it.index;
     records_[static_cast<std::size_t>(index)].processed = sched_.now();
-    ctx.trace_send(ctx.stage + 1, static_cast<std::uint32_t>(index),
-                   cfg_.result_bytes);
-    auto deliver = [this, ctx, index, done](const std::any&, des::SimTime) {
+    auto deliver = [this, index, done](const std::any&, des::SimTime) {
       records_[static_cast<std::size_t>(index)].at_client = sched_.now();
-      ctx.trace_recv(ctx.stage + 1, static_cast<std::uint32_t>(index),
-                     cfg_.result_bytes);
       done();
     };
     if (to_client_) {

@@ -6,22 +6,6 @@ des::Scheduler& StageContext::scheduler() const { return graph->sched_; }
 
 des::SimTime StageContext::now() const { return graph->sched_.now(); }
 
-void StageContext::trace_send(int to_stage, std::uint32_t tag,
-                              units::Bytes bytes) const {
-  if (graph->trace_ == nullptr) return;
-  graph->trace_->send(static_cast<std::uint32_t>(stage),
-                      static_cast<std::uint32_t>(to_stage), tag, bytes,
-                      graph->sched_.now());
-}
-
-void StageContext::trace_recv(int at_stage, std::uint32_t tag,
-                              units::Bytes bytes) const {
-  if (graph->trace_ == nullptr) return;
-  graph->trace_->recv(static_cast<std::uint32_t>(at_stage),
-                      static_cast<std::uint32_t>(stage), tag, bytes,
-                      graph->sched_.now());
-}
-
 StageGraph::StageGraph(des::Scheduler& sched, GraphConfig cfg)
     : sched_(sched), cfg_(cfg) {}
 
@@ -192,9 +176,6 @@ void StageGraph::start(int s, std::uint64_t id) {
     m.started = true;
     m.first_start = is.started;
   }
-  if (trace_ != nullptr)
-    trace_->enter(static_cast<std::uint32_t>(s),
-                  trace_->define_state(st.cfg.name), is.started);
   des::SpanHook* h = sched_.span_hook();
   const bool traced = h != nullptr && is.ctx.valid();
   des::TraceContext prev;
@@ -208,7 +189,7 @@ void StageGraph::start(int s, std::uint64_t id) {
     // transfer, a CPU job) nests beneath this stage in the span tree.
     prev = h->adopt(des::under(is.ctx, is.body_span));
   }
-  st.cfg.body(StageContext{this, s}, is.item,
+  st.cfg.body(StageContext{this}, is.item,
               [this, s, id]() { finish(s, id); });
   // `is` may be gone here: a synchronous Done can complete the item.
   if (traced) h->adopt(prev);
@@ -226,9 +207,6 @@ void StageGraph::finish(int s, std::uint64_t id) {
   ++m.items_out;
   m.busy += now - is.started;
   m.last_finish = now;
-  if (trace_ != nullptr)
-    trace_->leave(static_cast<std::uint32_t>(s),
-                  trace_->define_state(st.cfg.name), now);
   des::SpanHook* h = sched_.span_hook();
   if (h != nullptr) {
     h->end_span(is.body_span, now);

@@ -18,9 +18,9 @@
 // max_in_flight == 0 is the fully pipelined mode where only per-stage
 // concurrency limits throttle the flow.
 //
-// Every stage feeds a MetricsRegistry and, when a trace::TraceRecorder is
-// attached, emits VAMPIR-style enter/leave events with the stage index as
-// the trace rank; transfer stages add send/recv edges via StageContext.
+// Every stage feeds a MetricsRegistry and, when a span hook is installed
+// on the scheduler, opens a compute span per body run: the stage's track
+// in the VAMPIR views (obs/span_analysis.hpp).
 #pragma once
 
 #include <any>
@@ -33,7 +33,6 @@
 
 #include "des/scheduler.hpp"
 #include "flow/metrics.hpp"
-#include "trace/trace.hpp"
 
 namespace gtw::flow {
 
@@ -49,18 +48,12 @@ struct Item {
 
 using Done = std::function<void()>;
 
-// Handle a stage body uses to reach the scheduler and the trace stream.
+// Handle a stage body uses to reach the scheduler.
 struct StageContext {
   StageGraph* graph = nullptr;
-  int stage = 0;
 
   des::Scheduler& scheduler() const;
   des::SimTime now() const;
-  // Record a message from this stage to `to_stage` (kSend at this rank) or
-  // its receipt at `at_stage` coming from this rank (kRecv).  No-ops while
-  // no recorder is attached.
-  void trace_send(int to_stage, std::uint32_t tag, units::Bytes bytes) const;
-  void trace_recv(int at_stage, std::uint32_t tag, units::Bytes bytes) const;
 };
 
 using StageFn = std::function<void(StageContext, Item&, Done)>;
@@ -87,12 +80,8 @@ class StageGraph {
   // the tracer's leak census stays clean (obs, DESIGN.md section 13).
   ~StageGraph();
 
-  // Append a stage; returns its index (== its trace rank).
+  // Append a stage; returns its index.
   int add_stage(StageConfig cfg);
-
-  // Attach/detach the trace stream.  Stage indices are the trace ranks, so
-  // the recorder should be built with ranks >= stage_count().
-  void attach_trace(trace::TraceRecorder* rec) { trace_ = rec; }
 
   // Called when an item leaves the last stage.
   void on_complete(std::function<void(const Item&)> cb) {
@@ -178,7 +167,6 @@ class StageGraph {
   des::SimTime degraded_since_;
   des::SimTime recovery_started_;
   MetricsRegistry metrics_;
-  trace::TraceRecorder* trace_ = nullptr;
   std::function<void(const Item&)> complete_;
   std::function<void(const Item&, int)> drop_;
 };

@@ -46,15 +46,11 @@ StageConfig tcp_transfer_stage(std::string name, net::TcpConnection& conn,
   StageConfig cfg;
   cfg.name = std::move(name);
   cfg.concurrency = concurrency;
-  cfg.body = [&conn, side, bytes = std::move(bytes)](StageContext ctx,
-                                                     Item& it, Done done) {
+  cfg.body = [&conn, side, bytes = std::move(bytes)](StageContext, Item& it,
+                                                     Done done) {
     const units::Bytes n = bytes ? bytes(it) : units::Bytes::zero();
-    const auto tag = static_cast<std::uint32_t>(it.index);
-    ctx.trace_send(ctx.stage + 1, tag, n);
     conn.send(side, n, {},
-              [ctx, tag, n, done = std::move(done)](const std::any&,
-                                                    des::SimTime) {
-                ctx.trace_recv(ctx.stage + 1, tag, n);
+              [done = std::move(done)](const std::any&, des::SimTime) {
                 done();
               });
   };
@@ -69,9 +65,8 @@ StageConfig datagram_transfer_stage(
   cfg.name = std::move(name);
   cfg.concurrency = concurrency;
   cfg.body = [&socket, dst, dst_port, bytes = std::move(bytes),
-              number_frames](StageContext ctx, Item& it, Done done) {
+              number_frames](StageContext, Item& it, Done done) {
     const units::Bytes n = bytes ? bytes(it) : units::Bytes::zero();
-    ctx.trace_send(ctx.stage + 1, static_cast<std::uint32_t>(it.index), n);
     socket.send_to(dst, dst_port, n,
                    number_frames
                        ? std::any{static_cast<std::int64_t>(it.index)}

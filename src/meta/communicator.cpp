@@ -36,11 +36,6 @@ void Communicator::send(int src_rank, int dst_rank, int tag,
   const ProcLoc& dst = location(dst_rank);
   ++messages_sent_;
   bytes_sent_ += bytes;
-  if (trace_ != nullptr)
-    trace_->send(static_cast<std::uint32_t>(src_rank),
-                 static_cast<std::uint32_t>(dst_rank),
-                 static_cast<std::uint32_t>(tag), units::Bytes{bytes},
-                 mc_->scheduler().now());
 
   Message msg{src_rank, tag, bytes, std::move(data)};
   if (src.machine == dst.machine) {
@@ -178,12 +173,6 @@ void Communicator::wan_attempt(std::shared_ptr<WanSendState> st) {
   if (h != nullptr) h->adopt(prev);
 }
 
-void Communicator::trace_enter(int rank, const char* state) {
-  if (trace_ != nullptr)
-    trace_->enter(static_cast<std::uint32_t>(rank),
-                  trace_->define_state(state), mc_->scheduler().now());
-}
-
 void Communicator::send_typed(int src_rank, int dst_rank, int tag,
                               std::uint64_t count, Datatype type,
                               std::any data, Callback on_sent) {
@@ -207,11 +196,6 @@ void Communicator::recv(int rank, int source, int tag, RecvCallback cb) {
 }
 
 void Communicator::deliver(int dst_rank, Message msg) {
-  if (trace_ != nullptr)
-    trace_->recv(static_cast<std::uint32_t>(dst_rank),
-                 static_cast<std::uint32_t>(msg.source),
-                 static_cast<std::uint32_t>(msg.tag), units::Bytes{msg.bytes},
-                 mc_->scheduler().now());
   RankState& st = states_.at(static_cast<std::size_t>(dst_rank));
   for (auto it = st.recvs.begin(); it != st.recvs.end(); ++it) {
     if (matches(*it, msg)) {
@@ -248,7 +232,7 @@ std::vector<int> Communicator::machines_involved() const {
   return out;
 }
 
-void Communicator::finish_collective(std::uint64_t key, const char* name,
+void Communicator::finish_collective(std::uint64_t key,
                                      std::uint64_t wan_bytes,
                                      std::function<void(int rank)> per_rank) {
   const des::SimTime intra = intra_tree_cost(wan_bytes);
@@ -256,16 +240,9 @@ void Communicator::finish_collective(std::uint64_t key, const char* name,
   const int root_machine = location(collectives_[key].root).machine;
   auto& sched = mc_->scheduler();
 
-  auto final_stage = [this, key, name, intra, per_rank, &sched]() {
-    sched.schedule_after(intra, [this, key, name, per_rank]() {
-      const std::uint32_t state =
-          trace_ != nullptr ? trace_->define_state(name) : 0;
-      for (int r = 0; r < size(); ++r) {
-        if (trace_ != nullptr)
-          trace_->leave(static_cast<std::uint32_t>(r), state,
-                        mc_->scheduler().now());
-        per_rank(r);
-      }
+  auto final_stage = [this, key, intra, per_rank, &sched]() {
+    sched.schedule_after(intra, [this, key, per_rank]() {
+      for (int r = 0; r < size(); ++r) per_rank(r);
       collectives_.erase(key);
     });
   };
@@ -305,14 +282,13 @@ void Communicator::finish_collective(std::uint64_t key, const char* name,
 }
 
 void Communicator::barrier(int rank, Callback cb) {
-  trace_enter(rank, "barrier");
   const std::uint64_t key = (1ULL << 62) | barrier_seq_;
   Collective& c = collectives_[key];
   if (c.continuations.empty()) c.continuations.resize(ranks_.size());
   c.continuations.at(static_cast<std::size_t>(rank)) = std::move(cb);
   if (++c.arrived < size()) return;
   ++barrier_seq_;
-  finish_collective(key, "barrier", 8, [this, key](int r) {
+  finish_collective(key, 8, [this, key](int r) {
     auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
     if (cont) cont();
   });
@@ -321,7 +297,6 @@ void Communicator::barrier(int rank, Callback cb) {
 void Communicator::broadcast(int rank, int root, std::uint64_t bytes,
                              std::function<void(const std::any&)> cb,
                              std::any root_data) {
-  trace_enter(rank, "broadcast");
   const std::uint64_t key = (2ULL << 62) | bcast_seq_;
   Collective& c = collectives_[key];
   if (c.continuations.empty()) c.continuations.resize(ranks_.size());
@@ -332,7 +307,7 @@ void Communicator::broadcast(int rank, int root, std::uint64_t bytes,
       [this, key, cb = std::move(cb)]() { cb(collectives_[key].bcast_data); };
   if (++c.arrived < size()) return;
   ++bcast_seq_;
-  finish_collective(key, "broadcast", bytes, [this, key](int r) {
+  finish_collective(key, bytes, [this, key](int r) {
     auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
     if (cont) cont();
   });
@@ -341,7 +316,6 @@ void Communicator::broadcast(int rank, int root, std::uint64_t bytes,
 void Communicator::allreduce(int rank, const std::vector<double>& contribution,
                              ReduceOp op,
                              std::function<void(std::vector<double>)> cb) {
-  trace_enter(rank, "allreduce");
   const std::uint64_t key = (3ULL << 62) | reduce_seq_;
   Collective& c = collectives_[key];
   if (c.continuations.empty()) {
@@ -373,7 +347,7 @@ void Communicator::allreduce(int rank, const std::vector<double>& contribution,
   if (++c.arrived < size()) return;
   ++reduce_seq_;
   const std::uint64_t payload = contribution.size() * sizeof(double);
-  finish_collective(key, "allreduce", std::max<std::uint64_t>(payload, 8),
+  finish_collective(key, std::max<std::uint64_t>(payload, 8),
                     [this, key](int r) {
     auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
     if (cont) cont();
@@ -383,7 +357,6 @@ void Communicator::allreduce(int rank, const std::vector<double>& contribution,
 void Communicator::gather(int rank, std::uint64_t bytes, std::any data,
                           int root,
                           std::function<void(std::vector<std::any>)> root_cb) {
-  trace_enter(rank, "gather");
   const std::uint64_t key = (4ULL << 62) | gather_seq_;
   Collective& c = collectives_[key];
   if (c.continuations.empty()) {
@@ -400,8 +373,7 @@ void Communicator::gather(int rank, std::uint64_t bytes, std::any data,
   }
   if (++c.arrived < size()) return;
   ++gather_seq_;
-  finish_collective(key, "gather",
-                    bytes * static_cast<std::uint64_t>(size()),
+  finish_collective(key, bytes * static_cast<std::uint64_t>(size()),
                     [this, key](int r) {
     auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
     if (cont) cont();
@@ -411,7 +383,6 @@ void Communicator::gather(int rank, std::uint64_t bytes, std::any data,
 void Communicator::scatter(int rank, int root, std::uint64_t bytes_per_rank,
                            std::function<void(const std::any&)> cb,
                            std::vector<std::any> root_data) {
-  trace_enter(rank, "scatter");
   const std::uint64_t key = (5ULL << 60) | scatter_seq_;
   Collective& c = collectives_[key];
   if (c.continuations.empty()) {
@@ -429,8 +400,7 @@ void Communicator::scatter(int rank, int root, std::uint64_t bytes_per_rank,
       };
   if (++c.arrived < size()) return;
   ++scatter_seq_;
-  finish_collective(key, "scatter",
-                    bytes_per_rank * static_cast<std::uint64_t>(size()),
+  finish_collective(key, bytes_per_rank * static_cast<std::uint64_t>(size()),
                     [this, key](int r) {
     auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
     if (cont) cont();
@@ -440,7 +410,6 @@ void Communicator::scatter(int rank, int root, std::uint64_t bytes_per_rank,
 void Communicator::alltoall(int rank, std::uint64_t bytes_per_pair,
                             std::vector<std::any> contributions,
                             std::function<void(std::vector<std::any>)> cb) {
-  trace_enter(rank, "alltoall");
   const std::uint64_t key = (6ULL << 60) | alltoall_seq_;
   Collective& c = collectives_[key];
   if (c.continuations.empty()) {
@@ -464,7 +433,7 @@ void Communicator::alltoall(int rank, std::uint64_t bytes_per_pair,
   if (++c.arrived < size()) return;
   ++alltoall_seq_;
   finish_collective(
-      key, "alltoall",
+      key,
       bytes_per_pair * static_cast<std::uint64_t>(size()) *
           static_cast<std::uint64_t>(size()),
       [this, key](int r) {

@@ -25,7 +25,6 @@
 
 #include "des/check_hook.hpp"
 #include "meta/metacomputer.hpp"
-#include "trace/trace.hpp"
 
 namespace gtw::meta {
 
@@ -155,14 +154,6 @@ class Communicator {
 
   Metacomputer& metacomputer() { return *mc_; }
 
-  // VAMPIR integration (the paper's Metacomputing Tools project: "the
-  // parallel tracing tool VAMPIR is extended for the use with this
-  // library").  When attached, every point-to-point send and delivery is
-  // recorded with its simulated timestamp, and each collective shows up as
-  // an enter/leave pair per rank.  The recorder must outlive the
-  // communicator and have at least size() ranks.
-  void attach_trace(trace::TraceRecorder* rec) { trace_ = rec; }
-
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
 
@@ -234,14 +225,10 @@ class Communicator {
   };
 
   void deliver(int dst_rank, Message msg);
-  // Enter a collective's trace state; a no-op while no recorder is attached.
-  void trace_enter(int rank, const char* state);
   void wan_attempt(std::shared_ptr<WanSendState> st);
   bool matches(const PostedRecv& r, const Message& m) const;
-  // Staged completion of a collective that moves `bytes` per WAN hop;
-  // `name` is the trace state every rank leaves on completion.
-  void finish_collective(std::uint64_t key, const char* name,
-                         std::uint64_t wan_bytes,
+  // Staged completion of a collective that moves `wan_bytes` per WAN hop.
+  void finish_collective(std::uint64_t key, std::uint64_t wan_bytes,
                          std::function<void(int rank)> per_rank);
   des::SimTime intra_tree_cost(std::uint64_t bytes) const;
   // Machines participating, and the designated leader rank per machine.
@@ -259,7 +246,6 @@ class Communicator {
   bool retry_enabled_ = false;
   UnreachableCallback unreachable_;
   ReliabilityStats reliability_;
-  trace::TraceRecorder* trace_ = nullptr;
   CommCheckObserver* check_observer_ = nullptr;
 };
 

@@ -1,19 +1,9 @@
-// Exporters: every metric and trace leaves the simulator through one of
-// these, never through ad-hoc printf (enforced by the gtw-lint rule
-// raw-metric-print).  Two output families:
-//
-//  - Chrome trace-event JSON (the format Perfetto and chrome://tracing
-//    load): GTWT enter/leave pairs become B/E duration events per rank
-//    (tid), send/recv pairs become flow arrows (ph s/f matched FIFO on
-//    (src, dst, tag)), registry marks become instant events, and sampled
-//    time series become counter tracks (ph C).
-//  - stable-ordered JSON snapshots of a Registry and the time series a
-//    TimeSeriesSampler collected.
-//
-// All timestamps are simulated time.  Chrome `ts` is microseconds; we print
-// it as <us>.<6 digits> with the fraction computed in integer picoseconds,
-// so exports are byte-identical run to run (no double rounding anywhere on
-// the time axis).
+// Exporters: every metric leaves the simulator through one of these (or
+// through SpanTracer::write_json for causal spans), never through ad-hoc
+// printf (enforced by the gtw-lint rule raw-metric-print): stable-ordered
+// JSON snapshots of a Registry and the time series a TimeSeriesSampler
+// collected.  All timestamps are simulated time in integer picoseconds, so
+// exports are byte-identical run to run.
 #pragma once
 
 #include <iosfwd>
@@ -21,19 +11,8 @@
 
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
-#include "trace/trace.hpp"
 
 namespace gtw::obs {
-
-struct ChromeTraceOptions {
-  std::string process_name = "gtw";
-  // Optional extra tracks.
-  const TimeSeriesSampler* series = nullptr;  // counter tracks (ph "C")
-  const Registry* marks_from = nullptr;       // instant events (ph "i")
-};
-
-void write_chrome_trace(std::ostream& os, const trace::TraceRecorder& rec,
-                        const ChromeTraceOptions& opts = {});
 
 // {"label": ..., "metrics": {name: value, ...}, "marks": [...]} — probes in
 // lexicographic name order.

@@ -1,10 +1,15 @@
 #include "obs/span_analysis.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
+#include <iomanip>
 #include <istream>
+#include <optional>
 #include <ostream>
+#include <system_error>
 
+#include "des/span_hook.hpp"
 #include "obs/json_util.hpp"
 
 namespace gtw::obs {
@@ -26,18 +31,16 @@ bool find_value(const std::string& line, const char* key, std::size_t& pos) {
   return true;
 }
 
-bool get_u64(const std::string& line, const char* key, std::uint64_t& out) {
+// A whole integer: from_chars must consume every digit up to the `,` or
+// `}` that ends the value, so `zz`, `12abc` or an overflow is an error,
+// never a silent 0.
+template <typename Int>
+bool get_int(const std::string& line, const char* key, Int& out) {
   std::size_t pos;
   if (!find_value(line, key, pos)) return false;
-  out = std::strtoull(line.c_str() + pos, nullptr, 10);
-  return true;
-}
-
-bool get_i64(const std::string& line, const char* key, std::int64_t& out) {
-  std::size_t pos;
-  if (!find_value(line, key, pos)) return false;
-  out = std::strtoll(line.c_str() + pos, nullptr, 10);
-  return true;
+  const char* last = line.data() + line.size();
+  const auto [end, ec] = std::from_chars(line.data() + pos, last, out);
+  return ec == std::errc() && end != last && (*end == ',' || *end == '}');
 }
 
 // Reads a quoted string, undoing append_json_escaped.
@@ -58,12 +61,16 @@ bool get_str(const std::string& line, const char* key, std::string& out) {
       case 'n': out += '\n'; break;
       case 'r': out += '\r'; break;
       case 't': out += '\t'; break;
-      case 'u':
-        if (i + 4 >= line.size()) return false;
-        out += static_cast<char>(
-            std::strtoul(line.substr(i + 1, 4).c_str(), nullptr, 16));
+      case 'u': {
+        unsigned code = 0;
+        const char* first = line.data() + i + 1;
+        if (i + 4 >= line.size() ||
+            std::from_chars(first, first + 4, code, 16).ptr != first + 4)
+          return false;
+        out += static_cast<char>(code);
         i += 4;
         break;
+      }
       default: out += line[i];  // \" and \\ stand for themselves
     }
   }
@@ -74,66 +81,111 @@ bool starts_with(const std::string& line, const char* prefix) {
   return line.rfind(prefix, 0) == 0;
 }
 
+bool known_phase(const std::string& phase) {
+  for (int p = 0; p <= static_cast<int>(des::SpanPhase::kAborted); ++p)
+    if (phase == des::span_phase_name(static_cast<des::SpanPhase>(p)))
+      return true;
+  return false;
+}
+
+bool one_of(const std::string& v, const char* a, const char* b,
+            const char* c) {
+  return v == a || v == b || v == c;
+}
+
+// Per-line parsers: an empty return is success, anything else is the
+// reason the line is rejected.
+std::string parse_trace(const std::string& line, const SpanFile& f,
+                        TraceRec& t) {
+  if (!get_int(line, "trace", t.id) || !get_int(line, "root", t.root) ||
+      !get_str(line, "origin", t.origin) || !get_str(line, "status", t.status))
+    return "malformed trace line";
+  if (t.id != f.traces.size() + 1)
+    return "non-sequential trace id " + std::to_string(t.id);
+  if (!one_of(t.status, "open", "closed", "aborted"))
+    return "unknown trace status \"" + t.status + "\"";
+  if (line.find("\"reason\": ") != std::string::npos &&
+      !get_str(line, "reason", t.reason))
+    return "malformed trace reason";
+  return {};
+}
+
+std::string parse_span(const std::string& line, const SpanFile& f,
+                       SpanRec& s) {
+  if (!get_int(line, "span", s.id) || !get_int(line, "trace", s.trace) ||
+      !get_int(line, "parent", s.parent) || !get_str(line, "phase", s.phase) ||
+      !get_str(line, "layer", s.layer) || !get_str(line, "name", s.name) ||
+      !get_int(line, "begin_ps", s.begin_ps) ||
+      !get_int(line, "end_ps", s.end_ps) || !get_str(line, "status", s.status))
+    return "malformed span line";
+  const auto bad = [&s](const std::string& why) {
+    return "span " + std::to_string(s.id) + why;
+  };
+  if (s.id != f.spans.size() + 1)
+    return "non-sequential span id " + std::to_string(s.id);
+  if (s.trace == 0 || s.trace > f.traces.size())
+    return bad(" names unlisted trace " + std::to_string(s.trace));
+  if (s.parent >= s.id)
+    return bad(" has parent " + std::to_string(s.parent) +
+               ", not an earlier span");
+  if (s.parent != 0 && f.spans[s.parent - 1].trace != s.trace)
+    return bad(" has parent " + std::to_string(s.parent) +
+               " from another trace");
+  if (s.begin_ps < 0) return bad(" begins before time 0");
+  if (s.end_ps < s.begin_ps) return bad(" ends before it begins");
+  if (!known_phase(s.phase))
+    return "unknown span phase \"" + s.phase + "\"";
+  if (!one_of(s.status, "open", "ok", "aborted"))
+    return "unknown span status \"" + s.status + "\"";
+  return {};
+}
+
 }  // namespace
 
 bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
                 std::string& error) {
   std::string line;
-  if (!std::getline(in, line) || !starts_with(line, "{\"gtw_spans\": 1")) {
+  if (!std::getline(in, line) || !starts_with(line, "{\"gtw_spans\": ")) {
     error = what + ": not a spans artifact (missing {\"gtw_spans\": 1} header)";
     return false;
   }
-  get_str(line, "label", out.label);
+  if (int version = 0; !get_int(line, "gtw_spans", version) || version != 1) {
+    error = what + ": unsupported spans artifact version (want 1)";
+    return false;
+  }
+  if (line.find("\"label\": ") != std::string::npos &&
+      !get_str(line, "label", out.label)) {
+    error = what + ": malformed header label";
+    return false;
+  }
 
   bool have_footer = false;
   std::size_t lineno = 1;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
+    std::string why;
     if (have_footer) {
-      error = what + ": trailing data after the spans_total footer (line " +
-              std::to_string(lineno) + ")";
-      return false;
-    }
-    if (starts_with(line, "{\"spans_total\"")) {
-      if (!get_u64(line, "spans_total", out.spans_total) ||
-          !get_u64(line, "traces_total", out.traces_total) ||
-          !get_u64(line, "open_spans", out.open_spans)) {
-        error = what + ": malformed footer (line " + std::to_string(lineno) +
-                ")";
-        return false;
-      }
+      why = "trailing data after the spans_total footer";
+    } else if (starts_with(line, "{\"spans_total\"")) {
+      if (!get_int(line, "spans_total", out.spans_total) ||
+          !get_int(line, "traces_total", out.traces_total) ||
+          !get_int(line, "open_spans", out.open_spans))
+        why = "malformed footer";
       have_footer = true;
     } else if (starts_with(line, "{\"trace\"")) {
       TraceRec t;
-      if (!get_u64(line, "trace", t.id) || !get_u64(line, "root", t.root) ||
-          !get_str(line, "origin", t.origin) ||
-          !get_str(line, "status", t.status)) {
-        error = what + ": malformed trace line " + std::to_string(lineno);
-        return false;
-      }
-      get_str(line, "reason", t.reason);  // optional
+      why = parse_trace(line, out, t);
       out.traces.push_back(std::move(t));
     } else if (starts_with(line, "{\"span\"")) {
       SpanRec s;
-      if (!get_u64(line, "span", s.id) || !get_u64(line, "trace", s.trace) ||
-          !get_u64(line, "parent", s.parent) ||
-          !get_str(line, "phase", s.phase) ||
-          !get_str(line, "layer", s.layer) || !get_str(line, "name", s.name) ||
-          !get_i64(line, "begin_ps", s.begin_ps) ||
-          !get_i64(line, "end_ps", s.end_ps) ||
-          !get_str(line, "status", s.status)) {
-        error = what + ": malformed span line " + std::to_string(lineno);
-        return false;
-      }
-      if (s.id != out.spans.size() + 1) {
-        error = what + ": non-sequential span id " + std::to_string(s.id) +
-                " (line " + std::to_string(lineno) + ")";
-        return false;
-      }
+      why = parse_span(line, out, s);
       out.spans.push_back(std::move(s));
     } else {
-      error = what + ": unrecognised line " + std::to_string(lineno);
+      why = "unrecognised line";
+    }
+    if (!why.empty()) {
+      error = what + ": " + why + " (line " + std::to_string(lineno) + ")";
       return false;
     }
   }
@@ -151,6 +203,16 @@ bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
             std::to_string(out.spans.size()) + " / " +
             std::to_string(out.traces.size());
     return false;
+  }
+  // Roots are checked once every span is in: a trace line precedes its
+  // root's span line.
+  for (const TraceRec& t : out.traces) {
+    const SpanRec* root = span_by_id(out, t.root);
+    if (root == nullptr || root->trace != t.id || root->parent != 0) {
+      error = what + ": trace " + std::to_string(t.id) + " has root " +
+              std::to_string(t.root) + ", not a parentless span of its own";
+      return false;
+    }
   }
   return true;
 }
@@ -270,7 +332,8 @@ const TraceRec* select_trace(const SpanFile& f, const std::string& selector,
                              std::string& error) {
   if (!selector.empty() &&
       selector.find_first_not_of("0123456789") == std::string::npos) {
-    const std::uint64_t id = std::strtoull(selector.c_str(), nullptr, 10);
+    std::uint64_t id = 0;
+    std::from_chars(selector.data(), selector.data() + selector.size(), id);
     const TraceRec* t = find_trace(f, id);
     if (t == nullptr) error = "no trace with id " + selector;
     return t;
@@ -344,6 +407,152 @@ void write_spans_chrome(std::ostream& os, const SpanFile& f) {
          ",\"ts\":" + ts_us(s.begin_ps) + ",\"id\":" + id + "}");
   }
   os << "\n]}\n";
+}
+
+namespace {
+
+constexpr std::size_t kNoTrack = static_cast<std::size_t>(-1);
+
+// The compute tracks in first-appearance order, and each span's track
+// (kNoTrack for spans of other phases), indexed by span id - 1.
+struct TrackIndex {
+  std::vector<std::string> names;
+  std::vector<std::size_t> of_span;
+};
+
+TrackIndex index_tracks(const SpanFile& f) {
+  TrackIndex ix;
+  ix.of_span.assign(f.spans.size(), kNoTrack);
+  std::map<std::pair<std::string, std::string>, std::size_t> seen;
+  for (std::size_t i = 0; i < f.spans.size(); ++i) {
+    const SpanRec& s = f.spans[i];
+    if (s.phase != "compute") continue;
+    const auto [it, fresh] = seen.try_emplace({s.layer, s.name}, seen.size());
+    if (fresh) ix.names.push_back(s.layer + "/" + s.name);
+    ix.of_span[i] = it->second;
+  }
+  return ix;
+}
+
+// The track of the nearest compute ancestor of transfer span `s`, kNoTrack
+// when it has none, or nullopt when another transfer is met first (`s` is
+// a leg of that transfer's message, counted there).
+std::optional<std::size_t> sending_track(const SpanFile& f,
+                                         const TrackIndex& ix,
+                                         const SpanRec& s) {
+  for (const SpanRec* p = span_by_id(f, s.parent); p != nullptr;
+       p = p->parent < p->id ? span_by_id(f, p->parent) : nullptr) {
+    if (p->phase == "transfer") return std::nullopt;
+    if (p->phase == "compute") return ix.of_span[p->id - 1];
+  }
+  return kNoTrack;
+}
+
+// Left-aligned track-label column wide enough for every track.
+int label_width(const std::vector<std::string>& tracks) {
+  std::size_t w = 5;  // "track"
+  for (const std::string& t : tracks) w = std::max(w, t.size());
+  return static_cast<int>(w);
+}
+
+std::ostream& label(std::ostream& os, int width, const std::string& text) {
+  return os << "  " << std::left << std::setw(width) << text << std::right;
+}
+
+}  // namespace
+
+TrackViews track_views(const SpanFile& f) {
+  const TrackIndex ix = index_tracks(f);
+  const std::size_t n = ix.names.size();
+  TrackViews v{ix.names, std::vector<std::int64_t>(n, 0),
+               std::vector<std::vector<std::uint64_t>>(
+                   n, std::vector<std::uint64_t>(n, 0)),
+               0};
+  // Per trace, the sending tracks of transfers still waiting for the next
+  // compute span of their trace.
+  std::map<std::uint64_t, std::vector<std::size_t>> waiting;
+  for (const SpanRec& s : f.spans) {
+    const std::size_t track = ix.of_span[s.id - 1];
+    if (track == kNoTrack) {
+      if (s.phase != "transfer") continue;
+      if (const auto from = sending_track(f, ix, s))
+        waiting[s.trace].push_back(*from);
+      continue;
+    }
+    if (s.status != "open") v.busy_ps[track] += s.end_ps - s.begin_ps;
+    const auto w = waiting.find(s.trace);
+    if (w == waiting.end()) continue;
+    for (const std::size_t from : w->second) {
+      if (from == kNoTrack)
+        ++v.unmatched;
+      else
+        ++v.messages[from][track];
+    }
+    waiting.erase(w);
+  }
+  for (const auto& [trace, froms] : waiting) v.unmatched += froms.size();
+  return v;
+}
+
+void write_profile(std::ostream& os, const TrackViews& v) {
+  os << "compute-track profile (" << v.tracks.size() << " track(s), ps)\n";
+  const int w = label_width(v.tracks);
+  label(os, w, "track") << ' ' << std::setw(20) << "busy_ps" << '\n';
+  for (std::size_t t = 0; t < v.tracks.size(); ++t)
+    label(os, w, v.tracks[t]) << ' ' << std::setw(20) << v.busy_ps[t] << '\n';
+}
+
+void write_msg_matrix(std::ostream& os, const TrackViews& v) {
+  os << "messages (rows: sending track, cols: receiving track)\n";
+  const int w = label_width(v.tracks);
+  if (!v.tracks.empty()) {
+    label(os, w, "") << "   ";
+    for (std::size_t to = 0; to < v.tracks.size(); ++to)
+      os << ' ' << std::setw(8) << to;
+    os << '\n';
+  }
+  for (std::size_t from = 0; from < v.tracks.size(); ++from) {
+    label(os, w, v.tracks[from]) << ' ' << std::setw(2) << from;
+    for (const std::uint64_t n : v.messages[from])
+      os << ' ' << std::setw(8) << n;
+    os << '\n';
+  }
+  if (v.unmatched != 0)
+    os << "  " << v.unmatched
+       << " transfer(s) without a compute track at both ends\n";
+}
+
+void write_gantt(std::ostream& os, const SpanFile& f, int columns) {
+  const TrackIndex ix = index_tracks(f);
+  std::int64_t t0 = INT64_MAX, t1 = INT64_MIN;
+  for (const SpanRec& s : f.spans) {
+    if (ix.of_span[s.id - 1] == kNoTrack || s.status == "open") continue;
+    t0 = std::min(t0, s.begin_ps);
+    t1 = std::max(t1, s.end_ps);
+  }
+  if (t1 <= t0 || columns <= 0) {
+    os << "(no timed compute spans)\n";
+    return;
+  }
+  os << "timeline " << t0 << " .. " << t1 << " ps, " << columns
+     << " column(s)\n";
+  const auto cols = static_cast<std::size_t>(columns);
+  const double scale =
+      static_cast<double>(columns) / static_cast<double>(t1 - t0);
+  const auto cell = [&](std::int64_t t) {
+    return std::min(cols - 1, static_cast<std::size_t>(
+                                  static_cast<double>(t - t0) * scale));
+  };
+  std::vector<std::string> rows(ix.names.size(), std::string(cols, '.'));
+  for (const SpanRec& s : f.spans) {
+    const std::size_t track = ix.of_span[s.id - 1];
+    if (track == kNoTrack || s.status == "open") continue;
+    for (std::size_t c = cell(s.begin_ps); c <= cell(s.end_ps); ++c)
+      rows[track][c] = '#';
+  }
+  const int w = label_width(ix.names);
+  for (std::size_t t = 0; t < rows.size(); ++t)
+    label(os, w, ix.names[t]) << " |" << rows[t] << "|\n";
 }
 
 }  // namespace gtw::obs

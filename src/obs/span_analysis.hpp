@@ -25,6 +25,15 @@
 //    "worst", or "p99") against the closed traces' root durations.
 //  - write_spans_chrome(): Chrome trace-event export; spans become
 //    complete ("X") events and parent->child edges become flow arrows.
+//  - track_views(), write_profile(), write_gantt(), write_msg_matrix(): the
+//    three VAMPIR views (paper section 3) over compute tracks.  A *track*
+//    is the (layer, name) of the compute-phase spans — one pipeline stage,
+//    one coupled code — in first-appearance (span id) order.  The profile
+//    sums each track's closed compute spans in exact integer picoseconds;
+//    the Gantt paints one row per track; the message matrix counts each
+//    message once: a transfer-phase span not nested in another transfer,
+//    from the track of its nearest compute ancestor to the track of the
+//    next compute span begun in the same trace.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +74,11 @@ struct SpanFile {
 };
 
 // Strict loader; on failure returns false and sets `error` to a one-line
-// human-readable reason (unreadable, bad header, truncated, count
-// mismatch).  `what` names the artifact in the message (usually the path).
+// human-readable reason (bad header or version, truncated, count mismatch,
+// a field that is not a whole integer or a known phase/status, a negative
+// begin or an end before it, a parent that is not an earlier span of the same trace, a span or
+// root naming an unlisted trace or span).  `what` names the artifact in the
+// message (usually the path).
 bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
                 std::string& error);
 
@@ -116,5 +128,20 @@ const TraceRec* select_trace(const SpanFile& f, const std::string& selector,
 // id, tid = span id, a thread_name metadata row naming the span) and one
 // flow arrow (ph "s"/"f") per parent->child span edge.
 void write_spans_chrome(std::ostream& os, const SpanFile& f);
+
+// The VAMPIR views over compute tracks (see file comment).
+struct TrackViews {
+  std::vector<std::string> tracks;    // "layer/name", first-appearance order
+  std::vector<std::int64_t> busy_ps;  // closed compute-span time per track
+  std::vector<std::vector<std::uint64_t>> messages;  // [from][to] track
+  std::uint64_t unmatched = 0;  // transfers missing either compute end
+};
+TrackViews track_views(const SpanFile& f);
+
+void write_profile(std::ostream& os, const TrackViews& v);
+void write_msg_matrix(std::ostream& os, const TrackViews& v);
+// One row per track, `columns` cells spanning the compute spans' extent;
+// a cell is '#' when any of the track's closed compute spans covers it.
+void write_gantt(std::ostream& os, const SpanFile& f, int columns);
 
 }  // namespace gtw::obs

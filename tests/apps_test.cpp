@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "apps/climate.hpp"
 #include "apps/groundwater.hpp"
 #include "apps/meg.hpp"
 #include "apps/video.hpp"
 #include "meta/communicator.hpp"
+#include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 #include "testbed/testbed.hpp"
 
 namespace gtw::apps {
@@ -247,26 +252,38 @@ struct AppsFixture {
 
 TEST(GroundwaterCouplingTest, RunsToCompletionWithFieldTransfers) {
   AppsFixture f;
+  obs::SpanTracer spans;
+  f.tb.scheduler().set_span_hook(&spans);
   TraceConfig cfg;
   cfg.dims = {16, 16, 4};
   GroundwaterCoupling run(f.pair_comm(), cfg, /*particles=*/100, /*steps=*/10);
-  trace::TraceRecorder rec(2);
-  const auto st_solve = rec.define_state("solve");
-  const auto st_advect = rec.define_state("advect");
-  run.set_trace(&rec, st_solve, st_advect);
   run.start();
   f.tb.scheduler().run();
+  // The fixture's transports outlive the tracer: detach before teardown.
+  f.tb.scheduler().set_span_hook(nullptr);
   const CouplingResult& res = run.result();
   EXPECT_EQ(res.steps_completed, 10);
   EXPECT_EQ(res.bytes_per_step, 16u * 16 * 4 * 3 * 4);  // 3 components x f32
   EXPECT_GT(res.burst_mbyte_per_s, 1.0);
   EXPECT_GT(res.elapsed_s, 10 * 0.12);  // includes the compute phases
 
-  // The trace saw both compute states and every field transfer.
-  trace::TraceStats stats(rec);
-  EXPECT_NEAR(stats.state_time(0, st_solve).sec(), 1.0, 0.01);   // 10 x 100ms
-  EXPECT_NEAR(stats.state_time(1, st_advect).sec(), 0.2, 0.01);  // 10 x 20ms
-  EXPECT_EQ(stats.messages(0, 1), 10u);
+  // One closed trace per step; the spans artifact's VAMPIR views see both
+  // compute tracks and every field transfer from solve to advect.
+  EXPECT_EQ(spans.traces().size(), 10u);
+  EXPECT_EQ(spans.open_traces(), 0u);
+  std::stringstream artifact;
+  spans.write_json(artifact, "groundwater");
+  obs::SpanFile file;
+  std::string error;
+  ASSERT_TRUE(obs::load_spans(artifact, "groundwater", file, error)) << error;
+  const obs::TrackViews v = obs::track_views(file);
+  ASSERT_EQ(v.tracks, (std::vector<std::string>{"gw/solve", "gw/advect"}));
+  // 10 x 100 ms of solve and 10 x 20 ms of advect.
+  EXPECT_NEAR(static_cast<double>(v.busy_ps[0]) * 1e-12, 1.0, 0.01);
+  EXPECT_NEAR(static_cast<double>(v.busy_ps[1]) * 1e-12, 0.2, 0.01);
+  EXPECT_EQ(v.messages[0][1], 10u);
+  EXPECT_EQ(v.messages[1][0], 0u);
+  EXPECT_EQ(v.unmatched, 0u);
 }
 
 TEST(ClimateCouplingTest, ExchangesFieldsAndStaysPhysical) {

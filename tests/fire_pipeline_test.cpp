@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "fire/pipeline.hpp"
 #include "scanner/phantom.hpp"
 #include "testbed/testbed.hpp"
@@ -139,6 +142,51 @@ TEST(FmriPipelineTest, RunsRealNumericsWhenWired) {
   // All scans displayed.
   const auto res = pipe.result();
   EXPECT_GT(res.records.back().displayed.sec(), 0.0);
+}
+
+// Bit-exact golden of the FIRE numerics: perfbench's fmri_pipeline setup
+// (64x64x16, 80 scans, TR 3 s, motion {0, 0.05, 0}, motion correction on)
+// with a fixed seed.  Every float of every process_scan result and of the
+// final correlation map feeds one FNV-1a hash of its bit pattern, so any
+// rewrite of a kernel that moves a single bit fails here.  A deliberate
+// numerical change updates the constants and says why in CHANGES.md.
+std::uint64_t fnv1a_bits(std::uint64_t h, const VolumeF& v) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const auto bits = std::bit_cast<std::uint32_t>(v[i]);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(FireGoldenTest, EightyScanMotionCorrectedRunIsBitExact) {
+  constexpr int kScans = 80;
+  scanner::FmriConfig scfg;
+  scfg.dims = {64, 64, 16};
+  scfg.tr_s = 3.0;
+  scfg.regions = {{20, 40, 8, 4.0, 0.05}};
+  scfg.expected_scans = kScans;
+  scfg.motion = {0.0, 0.05, 0.0};
+  scfg.seed = 20260101;
+  scanner::FmriSeriesGenerator gen(scfg);
+
+  AnalysisConfig acfg;
+  acfg.stimulus = scfg.stimulus;
+  acfg.hrf = scfg.hrf;
+  acfg.tr_s = scfg.tr_s;
+  acfg.motion_correction = true;
+  acfg.detrend_cfg.expected_scans = kScans;
+  AnalysisEngine engine(scfg.dims, acfg);
+
+  std::uint64_t scans = 0xcbf29ce484222325ull;
+  for (int t = 0; t < kScans; ++t)
+    scans = fnv1a_bits(scans, engine.process_scan(gen.acquire(t)));
+  const std::uint64_t corr =
+      fnv1a_bits(0xcbf29ce484222325ull, engine.correlation_map());
+  EXPECT_EQ(scans, 0x7ce984aafac5e10cull) << std::hex << scans;
+  EXPECT_EQ(corr, 0x7aeaccf2ec044217ull) << std::hex << corr;
 }
 
 }  // namespace

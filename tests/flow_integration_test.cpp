@@ -1,45 +1,55 @@
 // Integration coverage for the dataflow engine as deployed: the fMRI
 // pipeline (fire), the workbench frame streamer (viz) and the section-5
 // apps (video, traffic) all run on flow::StageGraph, so each must expose
-// coherent per-stage metrics and a well-formed multi-rank trace.
+// coherent per-stage metrics and, under a span tracer, one compute track
+// per stage in the VAMPIR views of the spans artifact.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "apps/traffic.hpp"
 #include "apps/video.hpp"
 #include "fire/pipeline.hpp"
+#include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 #include "testbed/extensions.hpp"
 #include "testbed/testbed.hpp"
-#include "trace/trace.hpp"
 #include "viz/workbench.hpp"
 
 namespace gtw {
 namespace {
 
-int count_kind(const trace::TraceRecorder& rec, trace::EventKind kind,
-               std::uint32_t rank) {
-  int n = 0;
-  for (const trace::TraceEvent& e : rec.events())
-    if (e.kind == kind && e.rank == rank) ++n;
-  return n;
+// The run's spans artifact, read back the way gtw-trace reads it.
+obs::SpanFile artifact_of(const obs::SpanTracer& spans) {
+  std::stringstream buf;
+  spans.write_json(buf, "flow_integration");
+  obs::SpanFile f;
+  std::string error;
+  EXPECT_TRUE(obs::load_spans(buf, "flow_integration", f, error)) << error;
+  return f;
 }
 
-bool has_state(const trace::TraceRecorder& rec, const std::string& name) {
-  for (std::uint32_t s = 0; s < rec.state_count(); ++s)
-    if (rec.state_name(s) == name) return true;
-  return false;
+// Closed compute spans on one track ("layer/name").
+int compute_spans(const obs::SpanFile& f, const std::string& track) {
+  int n = 0;
+  for (const obs::SpanRec& s : f.spans)
+    if (s.phase == "compute" && s.status == "ok" &&
+        s.layer + "/" + s.name == track)
+      ++n;
+  return n;
 }
 
 TEST(FlowIntegrationTest, FirePipelineStagesTraceAndMeter) {
   testbed::Testbed tb{testbed::TestbedOptions{}};
+  obs::SpanTracer spans;  // outlives the pipeline's transports
+  tb.scheduler().set_span_hook(&spans);
   fire::PipelineConfig cfg;
   cfg.n_scans = 6;
   fire::FmriPipeline pipe(
       tb.scheduler(),
       {&tb.scanner_frontend(), &tb.gw_o200(), &tb.onyx2_juelich()}, cfg);
-  trace::TraceRecorder rec(4);  // transfer / compute / return / display
-  pipe.attach_trace(&rec);
   pipe.start();
   tb.scheduler().run();
 
@@ -59,18 +69,20 @@ TEST(FlowIntegrationTest, FirePipelineStagesTraceAndMeter) {
   // The compute stage's integrated busy time is n_scans * compute_time.
   EXPECT_EQ(m.stage(1).busy, pipe.compute_time(cfg.t3e_pes) * 6);
 
-  // Trace: one enter and one leave per scan on each of the four ranks, and
-  // the transfer/return stages add send/recv edges.
-  EXPECT_TRUE(has_state(rec, "transfer"));
-  EXPECT_TRUE(has_state(rec, "compute"));
-  EXPECT_TRUE(has_state(rec, "return"));
-  EXPECT_TRUE(has_state(rec, "display"));
-  for (std::uint32_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(count_kind(rec, trace::EventKind::kEnter, r), 6) << "rank " << r;
-    EXPECT_EQ(count_kind(rec, trace::EventKind::kLeave, r), 6) << "rank " << r;
-  }
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kSend, 0), 6);
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kRecv, 1), 6);
+  // Spans: one closed compute span per scan on each of the four stage
+  // tracks, and the transfer/return stages' TCP messages land on the next
+  // stage's track.
+  const obs::SpanFile f = artifact_of(spans);
+  const obs::TrackViews v = obs::track_views(f);
+  ASSERT_EQ(v.tracks, (std::vector<std::string>{"flow/transfer",
+                                                 "flow/compute", "flow/return",
+                                                 "flow/display"}));
+  for (const std::string& track : v.tracks)
+    EXPECT_EQ(compute_spans(f, track), 6) << track;
+  EXPECT_EQ(v.messages[0][1], 6u);  // transfer -> compute
+  EXPECT_EQ(v.messages[2][3], 6u);  // return -> display
+  EXPECT_EQ(v.messages[1][2], 0u);
+  EXPECT_EQ(v.unmatched, 0u);
 
   // Leak census at drain: the whole pipeline (timers, transfers, stage
   // wakeups) returned every event-pool slot it ever acquired.
@@ -98,54 +110,47 @@ TEST(FlowIntegrationTest, FireSequentialSkipsShowUpAsAdmissionDrops) {
 
 TEST(FlowIntegrationTest, FireTraceFeedsMultiRankGanttAndProfile) {
   testbed::Testbed tb{testbed::TestbedOptions{}};
+  obs::SpanTracer spans;  // outlives the pipeline's transports
+  tb.scheduler().set_span_hook(&spans);
   fire::PipelineConfig cfg;
   cfg.n_scans = 6;
   fire::FmriPipeline pipe(
       tb.scheduler(),
       {&tb.scanner_frontend(), &tb.gw_o200(), &tb.onyx2_juelich()}, cfg);
-  trace::TraceRecorder rec(4);
-  pipe.attach_trace(&rec);
   pipe.start();
   tb.scheduler().run();
 
-  // Round-trip through the binary format, then render the multi-rank views.
-  std::stringstream buf;
-  rec.write(buf);
-  const trace::TraceRecorder loaded = trace::TraceRecorder::read(buf);
-  trace::TraceStats stats(loaded);
-  const std::string g = stats.gantt(60);
-  for (int r = 0; r < 4; ++r) {
-    char label[16];
-    std::snprintf(label, sizeof label, "rank %2d", r);
-    EXPECT_NE(g.find(label), std::string::npos) << g;
-  }
-  // Each rank paints its own stage letter: c(ompute) on rank 1, d(isplay)
-  // on rank 3.
-  EXPECT_NE(g.find('c'), std::string::npos);
-  EXPECT_NE(g.find('d'), std::string::npos);
+  // Round-trip through the spans artifact, then render the per-track views.
+  const obs::SpanFile f = artifact_of(spans);
+  std::ostringstream gantt;
+  obs::write_gantt(gantt, f, 60);
+  const std::string g = gantt.str();
+  for (const char* track :
+       {"flow/transfer", "flow/compute", "flow/return", "flow/display"})
+    EXPECT_NE(g.find(std::string("  ") + track + " "), std::string::npos) << g;
+  EXPECT_NE(g.find('#'), std::string::npos) << g;
 
-  const std::string prof = stats.profile();
-  EXPECT_NE(prof.find("compute="), std::string::npos);
-  EXPECT_NE(prof.find("display="), std::string::npos);
-  // Profile time on the compute rank matches the metrics' busy integral.
-  std::uint32_t compute_state = 0;
-  for (std::uint32_t s = 0; s < loaded.state_count(); ++s)
-    if (loaded.state_name(s) == "compute") compute_state = s;
-  ASSERT_NE(compute_state, 0u);
-  EXPECT_EQ(stats.state_time(1, compute_state),
-            pipe.metrics().stage(1).busy);
+  const obs::TrackViews v = obs::track_views(f);
+  std::ostringstream prof;
+  obs::write_profile(prof, v);
+  EXPECT_NE(prof.str().find("flow/compute"), std::string::npos);
+  EXPECT_NE(prof.str().find("flow/display"), std::string::npos);
+  // Profile time on the compute track matches the metrics' busy integral
+  // exactly: both are sums of the same DES instants.
+  ASSERT_EQ(v.tracks.at(1), "flow/compute");
+  EXPECT_EQ(v.busy_ps[1], pipe.metrics().stage(1).busy.ps());
 }
 
 TEST(FlowIntegrationTest, FrameStreamerMetersRenderAndUplink) {
   testbed::Testbed tb{testbed::TestbedOptions{}};
+  obs::SpanTracer spans;  // outlives the streamer's connection
+  tb.scheduler().set_span_hook(&spans);
   net::TcpConfig tcp;
   tcp.mss = tb.options().atm_mtu - units::Bytes{40};
   tcp.recv_buffer = units::Bytes{1u << 20};
   viz::FrameStreamer streamer(tb.scheduler(), tb.onyx2_gmd(),
                               tb.workbench_juelich(), viz::WorkbenchFormat{},
                               viz::RenderModel{}, 10, tcp);
-  trace::TraceRecorder rec(2);
-  streamer.attach_trace(&rec);
   streamer.start();
   tb.scheduler().run();
 
@@ -161,21 +166,26 @@ TEST(FlowIntegrationTest, FrameStreamerMetersRenderAndUplink) {
   EXPECT_GT(m.stage(1).occupancy(), 0.9);
   EXPECT_LT(m.stage(0).occupancy(), m.stage(1).occupancy());
 
-  EXPECT_TRUE(has_state(rec, "render"));
-  EXPECT_TRUE(has_state(rec, "uplink"));
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kEnter, 0), 10);
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kEnter, 1), 10);
-  // One send per frame leaving the uplink, one recv on its delivery.
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kSend, 1), 10);
+  const obs::SpanFile f = artifact_of(spans);
+  const obs::TrackViews v = obs::track_views(f);
+  ASSERT_EQ(v.tracks,
+            (std::vector<std::string>{"flow/render", "flow/uplink"}));
+  EXPECT_EQ(compute_spans(f, "flow/render"), 10);
+  EXPECT_EQ(compute_spans(f, "flow/uplink"), 10);
+  // One TCP message per frame leaves the uplink.  Frames pushed in one
+  // burst share a trace, so each message but the last is followed there by
+  // the next frame's render span; the last has no receiving track.
+  EXPECT_EQ(v.messages[0][0] + v.messages[0][1], 0u);
+  EXPECT_EQ(v.messages[1][0] + v.messages[1][1] + v.unmatched, 10u);
 }
 
 TEST(FlowIntegrationTest, VideoSessionCountsFramesThroughTheGraph) {
   testbed::Testbed tb{testbed::TestbedOptions{testbed::WanEra::kOc48_1998}};
   apps::D1VideoConfig cfg;
   cfg.frames = 50;
+  obs::SpanTracer spans;
+  tb.scheduler().set_span_hook(&spans);
   apps::D1VideoSession session(tb.onyx2_gmd(), tb.onyx2_juelich(), cfg);
-  trace::TraceRecorder rec(1);
-  session.attach_trace(&rec);
   session.start();
   tb.scheduler().run();
 
@@ -186,18 +196,17 @@ TEST(FlowIntegrationTest, VideoSessionCountsFramesThroughTheGraph) {
   EXPECT_EQ(m.stage(0).name, "uplink");
   EXPECT_EQ(m.stage(0).items_out, 50u);
   EXPECT_EQ(m.completed, 50u);
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kEnter, 0), 50);
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kSend, 0), 50);
+  EXPECT_EQ(compute_spans(artifact_of(spans), "flow/uplink"), 50);
 }
 
 TEST(FlowIntegrationTest, TrafficVizSimulateAndPublishStages) {
   testbed::ExtendedTestbed tb;
   apps::NaschConfig cfg;
   cfg.cells = 200;
+  obs::SpanTracer spans;
+  tb.scheduler().set_span_hook(&spans);
   apps::DistributedTrafficViz run(tb.dlr_traffic(), tb.cologne_viz(), cfg,
                                   /*steps=*/30);
-  trace::TraceRecorder rec(2);
-  run.attach_trace(&rec);
   run.start();
   tb.scheduler().run();
 
@@ -210,10 +219,11 @@ TEST(FlowIntegrationTest, TrafficVizSimulateAndPublishStages) {
   EXPECT_EQ(m.stage(0).items_out, 30u);
   EXPECT_EQ(m.stage(1).items_out, 30u);
   EXPECT_EQ(m.completed, 30u);
-  EXPECT_TRUE(has_state(rec, "simulate"));
-  EXPECT_TRUE(has_state(rec, "publish"));
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kEnter, 0), 30);
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kSend, 1), 30);
+  const obs::SpanFile f = artifact_of(spans);
+  EXPECT_EQ(obs::track_views(f).tracks,
+            (std::vector<std::string>{"flow/simulate", "flow/publish"}));
+  EXPECT_EQ(compute_spans(f, "flow/simulate"), 30);
+  EXPECT_EQ(compute_spans(f, "flow/publish"), 30);
   // The metrics report is printable and names both stages.
   const std::string report = m.report();
   EXPECT_NE(report.find("simulate"), std::string::npos);

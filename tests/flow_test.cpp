@@ -1,15 +1,17 @@
 // Unit tests for the staged-dataflow engine: queue policies, concurrency
 // limits, admission control, backpressure, drop accounting, metrics and the
-// built-in trace hooks.
+// compute span every stage body opens under a span tracer.
 #include <gtest/gtest.h>
 
 #include <any>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "des/scheduler.hpp"
 #include "flow/graph.hpp"
 #include "flow/stage.hpp"
-#include "trace/trace.hpp"
+#include "obs/span.hpp"
 
 namespace gtw {
 namespace {
@@ -212,8 +214,12 @@ TEST(FlowGraphTest, PayloadTravelsWithItem) {
   EXPECT_EQ(out, 42);
 }
 
+// Every body run is one compute span named after its stage: the stage's
+// track in the VAMPIR views.
 TEST(FlowGraphTest, TracerEmitsEnterLeavePerStage) {
   Scheduler sched;
+  obs::SpanTracer spans;
+  sched.set_span_hook(&spans);
   flow::StageGraph g(sched);
   g.add_stage(flow::compute_stage("alpha", [](const flow::Item&) {
     return sec(1.0);
@@ -221,45 +227,42 @@ TEST(FlowGraphTest, TracerEmitsEnterLeavePerStage) {
   g.add_stage(flow::compute_stage("beta", [](const flow::Item&) {
     return sec(0.5);
   }));
-  trace::TraceRecorder rec(2);
-  g.attach_trace(&rec);
   for (int i = 0; i < 3; ++i) g.push(i);
   sched.run();
-  int enters[2] = {0, 0}, leaves[2] = {0, 0};
-  for (const trace::TraceEvent& e : rec.events()) {
-    if (e.kind == trace::EventKind::kEnter) ++enters[e.rank];
-    if (e.kind == trace::EventKind::kLeave) ++leaves[e.rank];
+  std::map<std::string, int> closed;
+  std::map<std::string, SimTime> busy;
+  for (const obs::SpanTracer::Span& s : spans.spans()) {
+    if (s.phase != des::SpanPhase::kCompute) continue;
+    EXPECT_EQ(spans.layer(s), "flow");
+    EXPECT_EQ(s.status, obs::SpanTracer::SpanStatus::kOk);
+    const std::string name(spans.name(s));
+    ++closed[name];
+    busy[name] += s.end - s.begin;
   }
-  EXPECT_EQ(enters[0], 3);
-  EXPECT_EQ(leaves[0], 3);
-  EXPECT_EQ(enters[1], 3);
-  EXPECT_EQ(leaves[1], 3);
-  // Stage names became trace states (id 0 is reserved for "idle").
-  bool alpha = false, beta = false;
-  for (std::uint32_t s = 0; s < rec.state_count(); ++s) {
-    if (rec.state_name(s) == "alpha") alpha = true;
-    if (rec.state_name(s) == "beta") beta = true;
-  }
-  EXPECT_TRUE(alpha);
-  EXPECT_TRUE(beta);
+  EXPECT_EQ(closed, (std::map<std::string, int>{{"alpha", 3}, {"beta", 3}}));
+  EXPECT_EQ(busy["alpha"], sec(3.0));
+  EXPECT_EQ(busy["beta"], sec(1.5));
+  EXPECT_EQ(spans.open_spans(), 0u);
+  EXPECT_EQ(spans.open_traces(), 0u);
 }
 
 TEST(FlowGraphTest, TraceAttachMidstreamOnlyRecordsLaterItems) {
   Scheduler sched;
+  obs::SpanTracer spans;
   flow::StageGraph g(sched);
   g.add_stage(flow::compute_stage("s", [](const flow::Item&) {
     return sec(1.0);
   }));
   g.push(0);
   sched.run();
-  trace::TraceRecorder rec(1);
-  g.attach_trace(&rec);
+  sched.set_span_hook(&spans);
   g.push(1);
   sched.run();
-  int enters = 0;
-  for (const trace::TraceEvent& e : rec.events())
-    if (e.kind == trace::EventKind::kEnter) ++enters;
-  EXPECT_EQ(enters, 1);
+  int compute = 0;
+  for (const obs::SpanTracer::Span& s : spans.spans())
+    if (s.phase == des::SpanPhase::kCompute) ++compute;
+  EXPECT_EQ(compute, 1);
+  EXPECT_EQ(spans.traces().size(), 1u);
 }
 
 TEST(PeriodicSourceTest, ScheduledFirstMatchesCbrCadence) {

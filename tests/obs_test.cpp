@@ -1,11 +1,12 @@
 // Observability layer: registry semantics (collisions, stable ordering),
-// DES-clock sampling, Chrome trace export (golden files + >65k-event
-// stress), and the guarantee that instrumentation never perturbs the
-// simulation it observes.
+// DES-clock sampling, Chrome trace export of the spans artifact (golden
+// files + >65k-event stress), and the guarantee that instrumentation never
+// perturbs the simulation it observes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,7 +21,8 @@
 #include "obs/instrument.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
-#include "trace/trace.hpp"
+#include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 
 #ifndef GTW_GOLDEN_DIR
 #define GTW_GOLDEN_DIR "tests/golden"
@@ -297,27 +299,44 @@ TEST(ObsFaultPlanTest, ProbesReadThePlansTransitionCounts) {
 
 // --------------------------------------------------------------- exporters
 
+// The tracer's spans artifact, loaded the way gtw-trace loads it.
+obs::SpanFile artifact_of(const obs::SpanTracer& t) {
+  std::stringstream buf;
+  t.write_json(buf, "chrome");
+  obs::SpanFile f;
+  std::string error;
+  EXPECT_TRUE(obs::load_spans(buf, "chrome", f, error)) << error;
+  return f;
+}
+
 TEST(ObsChromeExportTest, EmptyTraceMatchesGolden) {
-  trace::TraceRecorder rec(1);
+  const obs::SpanTracer t;
   std::ostringstream os;
-  obs::write_chrome_trace(os, rec);
+  obs::write_spans_chrome(os, artifact_of(t));
   EXPECT_EQ(os.str(), read_golden("chrome_empty.json")) << os.str();
 }
 
 TEST(ObsChromeExportTest, SmallTraceMatchesGolden) {
-  trace::TraceRecorder rec(2);
-  const std::uint32_t compute = rec.define_state("compute");
-  rec.enter(0, compute, des::SimTime::milliseconds(1));
-  rec.send(0, 1, 7, units::Bytes{4096}, des::SimTime::milliseconds(2));
-  rec.leave(0, compute, des::SimTime::milliseconds(2));
-  rec.enter(1, compute, des::SimTime::microseconds(2500));
+  using des::SimTime;
+  obs::SpanTracer t;
+  const des::TraceContext ctx = t.mint("fire.scan", SimTime::milliseconds(1));
+  const std::uint64_t compute =
+      t.begin_span(ctx, des::SpanPhase::kCompute, "flow", "compute",
+                   SimTime::milliseconds(1));
+  const std::uint64_t msg =
+      t.begin_span(des::under(ctx, compute), des::SpanPhase::kTransfer, "tcp",
+                   "msg", SimTime::milliseconds(2));
+  t.end_span(compute, SimTime::milliseconds(2));
   // Sub-microsecond timestamp: exercises the exact integer ts formatting.
-  rec.recv(1, 0, 7, units::Bytes{4096},
-           des::SimTime::picoseconds(2'500'000'001));
-  rec.leave(1, compute, des::SimTime::milliseconds(4));
+  t.end_span(msg, SimTime::picoseconds(2'500'000'001));
+  const std::uint64_t display =
+      t.begin_span(ctx, des::SpanPhase::kCompute, "flow", "display",
+                   SimTime::microseconds(2500));
+  t.end_span(display, SimTime::milliseconds(4));
+  t.close_trace(ctx, SimTime::milliseconds(4));
 
   std::ostringstream os;
-  obs::write_chrome_trace(os, rec);
+  obs::write_spans_chrome(os, artifact_of(t));
   EXPECT_EQ(os.str(), read_golden("chrome_small.json")) << os.str();
 }
 
@@ -335,40 +354,46 @@ TEST(ObsChromeExportTest, MetricsJsonMatchesGolden) {
   EXPECT_EQ(os.str(), read_golden("metrics_small.json")) << os.str();
 }
 
-// Traces beyond 65k events must export with unique flow ids and stay
+// Artifacts beyond 65k events must export with unique flow ids and stay
 // byte-deterministic (a 16-bit id counter would silently wrap here).
 TEST(ObsChromeExportTest, LargeTraceExportsAllEventsDeterministically) {
-  const int kPairs = 16'500;  // 4 events each -> 66'000 events
-  trace::TraceRecorder rec(2);
-  const std::uint32_t st = rec.define_state("work");
-  for (int i = 0; i < kPairs; ++i) {
-    const des::SimTime t = des::SimTime::microseconds(10 * i);
-    rec.enter(0, st, t);
-    rec.send(0, 1, 1, units::Bytes{64}, t);
-    rec.recv(1, 0, 1, units::Bytes{64}, t + des::SimTime::microseconds(5));
-    rec.leave(0, st, t + des::SimTime::microseconds(5));
+  const int kTraces = 16'500;  // 7 events each -> 115'500 events
+  obs::SpanTracer t;
+  for (int i = 0; i < kTraces; ++i) {
+    const des::SimTime t0 = des::SimTime::microseconds(10 * i);
+    const des::SimTime t1 = t0 + des::SimTime::microseconds(5);
+    const des::TraceContext ctx = t.mint("item", t0);
+    t.end_span(t.begin_span(ctx, des::SpanPhase::kCompute, "flow", "work", t0),
+               t1);
+    t.close_trace(ctx, t1);
   }
-  ASSERT_GT(rec.events().size(), 65'536u);
+  const obs::SpanFile f = artifact_of(t);
 
   std::ostringstream os1, os2;
-  obs::write_chrome_trace(os1, rec);
-  obs::write_chrome_trace(os2, rec);
+  obs::write_spans_chrome(os1, f);
+  obs::write_spans_chrome(os2, f);
   const std::string json = os1.str();
   EXPECT_EQ(json, os2.str());  // byte-identical double export
 
-  auto count = [&json](const std::string& needle) {
-    std::size_t n = 0;
-    for (std::size_t pos = json.find(needle); pos != std::string::npos;
-         pos = json.find(needle, pos + needle.size()))
-      ++n;
-    return n;
-  };
-  EXPECT_EQ(count("\"ph\":\"B\""), static_cast<std::size_t>(kPairs));
-  EXPECT_EQ(count("\"ph\":\"E\""), static_cast<std::size_t>(kPairs));
-  EXPECT_EQ(count("\"ph\":\"s\""), static_cast<std::size_t>(kPairs));
-  EXPECT_EQ(count("\"ph\":\"f\""), static_cast<std::size_t>(kPairs));
-  // The last flow pair carries the id of the 16'500th send: no wrap.
-  EXPECT_NE(json.find("\"id\":16500,"), std::string::npos);
+  std::size_t events = 0, x = 0, arrows_in = 0;
+  std::set<std::string> flow_ids;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("{\"name\"", 0) != 0) continue;
+    ++events;
+    if (line.find("\"ph\":\"X\"") != std::string::npos) ++x;
+    if (line.find("\"ph\":\"f\"") != std::string::npos) ++arrows_in;
+    if (line.find("\"ph\":\"s\"") != std::string::npos)
+      flow_ids.insert(line.substr(line.rfind("\"id\":")));
+  }
+  EXPECT_GT(events, 65'536u);
+  EXPECT_EQ(events, 7u * kTraces);
+  EXPECT_EQ(x, 2u * kTraces);
+  EXPECT_EQ(arrows_in, static_cast<std::size_t>(kTraces));
+  // One distinct id per parent->child arrow, the last being the 33'000th
+  // span: no wrap.
+  EXPECT_EQ(flow_ids.size(), static_cast<std::size_t>(kTraces));
+  EXPECT_NE(json.find("\"id\":33000}"), std::string::npos);
 }
 
 TEST(ObsSeriesExportTest, SeriesJsonIsStable) {

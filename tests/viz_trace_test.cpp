@@ -1,14 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <sstream>
-#include <stdexcept>
-
 #include "fire/volume.hpp"
 #include "net/atm.hpp"
 #include "net/units.hpp"
 #include "scanner/phantom.hpp"
-#include "trace/trace.hpp"
 #include "viz/merge.hpp"
 #include "viz/workbench.hpp"
 
@@ -85,211 +80,6 @@ TEST(RenderModelTest, FrameTimeScalesWithProcessors) {
   viz::RenderModel twelve{0.012, 12};
   EXPECT_NEAR(one.frame_time(fmt).sec() / twelve.frame_time(fmt).sec(), 12.0,
               1e-9);
-}
-
-TEST(TraceTest, StateTimesAttributed) {
-  trace::TraceRecorder rec(2);
-  const auto compute = rec.define_state("compute");
-  const auto comm = rec.define_state("comm");
-  rec.enter(0, compute, des::SimTime::seconds(0.0));
-  rec.enter(0, comm, des::SimTime::seconds(2.0));   // nested
-  rec.leave(0, comm, des::SimTime::seconds(3.0));
-  rec.leave(0, compute, des::SimTime::seconds(5.0));
-  rec.enter(1, compute, des::SimTime::seconds(1.0));
-  rec.leave(1, compute, des::SimTime::seconds(4.0));
-
-  trace::TraceStats stats(rec);
-  EXPECT_NEAR(stats.state_time(0, compute).sec(), 4.0, 1e-9);  // 2 + 2
-  EXPECT_NEAR(stats.state_time(0, comm).sec(), 1.0, 1e-9);
-  EXPECT_NEAR(stats.state_time(1, compute).sec(), 3.0, 1e-9);
-}
-
-TEST(TraceTest, MessageMatrix) {
-  trace::TraceRecorder rec(3);
-  rec.send(0, 1, 5, units::Bytes{1000}, des::SimTime::seconds(0.1));
-  rec.send(0, 1, 5, units::Bytes{2000}, des::SimTime::seconds(0.2));
-  rec.send(2, 0, 9, units::Bytes{512}, des::SimTime::seconds(0.3));
-  rec.recv(1, 0, 5, units::Bytes{1000}, des::SimTime::seconds(0.4));
-
-  trace::TraceStats stats(rec);
-  EXPECT_EQ(stats.messages(0, 1), 2u);
-  EXPECT_EQ(stats.bytes(0, 1), 3000u);
-  EXPECT_EQ(stats.messages(2, 0), 1u);
-  EXPECT_EQ(stats.messages(1, 0), 0u);
-  EXPECT_EQ(stats.total_messages(), 3u);
-  EXPECT_EQ(stats.total_bytes(), 3512u);
-}
-
-TEST(TraceTest, BinaryRoundTrip) {
-  trace::TraceRecorder rec(4);
-  const auto s1 = rec.define_state("solve");
-  const auto s2 = rec.define_state("exchange");
-  for (int i = 0; i < 100; ++i) {
-    rec.enter(static_cast<std::uint32_t>(i % 4), i % 2 ? s1 : s2,
-              des::SimTime::milliseconds(i));
-    rec.leave(static_cast<std::uint32_t>(i % 4), i % 2 ? s1 : s2,
-              des::SimTime::milliseconds(i + 1));
-    rec.send(static_cast<std::uint32_t>(i % 4),
-             static_cast<std::uint32_t>((i + 1) % 4), 7, units::Bytes{100u + i},
-             des::SimTime::milliseconds(i));
-  }
-  std::stringstream buf;
-  rec.write(buf);
-  const trace::TraceRecorder back = trace::TraceRecorder::read(buf);
-  ASSERT_EQ(back.events().size(), rec.events().size());
-  EXPECT_EQ(back.ranks(), 4);
-  EXPECT_EQ(back.state_name(s1), "solve");
-  EXPECT_EQ(back.state_name(s2), "exchange");
-  for (std::size_t i = 0; i < rec.events().size(); ++i) {
-    EXPECT_EQ(back.events()[i].time_ps, rec.events()[i].time_ps);
-    EXPECT_EQ(back.events()[i].rank, rec.events()[i].rank);
-    EXPECT_EQ(back.events()[i].bytes, rec.events()[i].bytes);
-  }
-}
-
-TEST(TraceTest, ReadRejectsGarbage) {
-  std::stringstream buf;
-  buf << "not a trace file";
-  EXPECT_THROW(trace::TraceRecorder::read(buf), std::runtime_error);
-}
-
-namespace {
-
-// A small valid serialized trace: 2 ranks, states {"idle", "work"}, one
-// enter/leave pair and one send.  Offsets into the byte string:
-//   0 magic, 4 version, 8 ranks, 12 n_states, 16 len("idle"), 20 "idle",
-//   24 len("work"), 28 "work", 32 n_events (u64), 40 first event
-//   (+0 time i64, +8 rank u32, +12 kind u8, +13 id u32, +17 tag u32,
-//    +21 bytes u64; 29 bytes per event).
-std::string good_trace_bytes() {
-  trace::TraceRecorder rec(2);
-  const auto w = rec.define_state("work");
-  rec.enter(0, w, des::SimTime::seconds(1.0));
-  rec.leave(0, w, des::SimTime::seconds(2.0));
-  rec.send(1, 0, 5, units::Bytes{4096}, des::SimTime::seconds(1.5));
-  std::stringstream buf;
-  rec.write(buf);
-  return buf.str();
-}
-
-// Read a trace from raw bytes, expecting a runtime_error whose message
-// contains `needle` (the reader must say *what* was wrong).
-void expect_rejects(std::string bytes, const std::string& needle) {
-  std::stringstream buf(std::move(bytes));
-  try {
-    trace::TraceRecorder::read(buf);
-    FAIL() << "expected rejection mentioning \"" << needle << "\"";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << "actual message: " << e.what();
-  }
-}
-
-template <typename T>
-void patch(std::string& bytes, std::size_t offset, T value) {
-  ASSERT_LE(offset + sizeof value, bytes.size());
-  std::memcpy(bytes.data() + offset, &value, sizeof value);
-}
-
-}  // namespace
-
-TEST(TraceTest, GoodBytesRoundTrip) {
-  std::stringstream buf(good_trace_bytes());
-  const trace::TraceRecorder rec = trace::TraceRecorder::read(buf);
-  EXPECT_EQ(rec.ranks(), 2);
-  EXPECT_EQ(rec.state_count(), 2u);
-  EXPECT_EQ(rec.state_name(1), "work");
-  ASSERT_EQ(rec.events().size(), 3u);
-}
-
-TEST(TraceTest, ReadRejectsWrongVersion) {
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 4, 99);
-  expect_rejects(std::move(b), "version");
-}
-
-TEST(TraceTest, ReadRejectsZeroRanks) {
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 8, 0);
-  expect_rejects(std::move(b), "rank count");
-}
-
-TEST(TraceTest, ReadRejectsAbsurdRankCount) {
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 8, 0xffffffffu);
-  expect_rejects(std::move(b), "rank count");
-}
-
-TEST(TraceTest, ReadRejectsAbsurdStateCount) {
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 12, 0xffffffffu);
-  expect_rejects(std::move(b), "state count");
-}
-
-TEST(TraceTest, ReadRejectsAbsurdStateNameLength) {
-  // A lying name length must be rejected up front, not allocated.
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 16, 0x7fffffffu);
-  expect_rejects(std::move(b), "state-name length");
-}
-
-TEST(TraceTest, ReadRejectsLyingEventCountAsTruncation) {
-  std::string b = good_trace_bytes();
-  // Claim ~10^18 events while the payload holds 3: the reader must fail on
-  // the missing bytes instead of reserving for the fake count.
-  patch<std::uint64_t>(b, 32, 1ull << 60);
-  expect_rejects(std::move(b), "truncated");
-}
-
-TEST(TraceTest, ReadRejectsTruncatedEventPayload) {
-  std::string b = good_trace_bytes();
-  b.resize(b.size() - 10);  // chop into the last event
-  expect_rejects(std::move(b), "truncated");
-}
-
-TEST(TraceTest, ReadRejectsUnknownEventKind) {
-  std::string b = good_trace_bytes();
-  patch<std::uint8_t>(b, 40 + 12, 17);
-  expect_rejects(std::move(b), "kind");
-}
-
-TEST(TraceTest, ReadRejectsEventRankOutOfRange) {
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 40 + 8, 2);  // ranks == 2, so rank 2 is invalid
-  expect_rejects(std::move(b), "rank");
-}
-
-TEST(TraceTest, ReadRejectsEnterStateOutOfRange) {
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 40 + 13, 7);  // enter event, only 2 states exist
-  expect_rejects(std::move(b), "state id");
-}
-
-TEST(TraceTest, GanttRendersStates) {
-  trace::TraceRecorder rec(2);
-  const auto a = rec.define_state("alpha");
-  const auto b = rec.define_state("beta");
-  rec.enter(0, a, des::SimTime::seconds(0.0));
-  rec.leave(0, a, des::SimTime::seconds(1.0));
-  rec.enter(1, b, des::SimTime::seconds(0.5));
-  rec.leave(1, b, des::SimTime::seconds(1.0));
-  trace::TraceStats stats(rec);
-  const std::string g = stats.gantt(40);
-  EXPECT_NE(g.find('a'), std::string::npos);
-  EXPECT_NE(g.find('b'), std::string::npos);
-  EXPECT_NE(g.find("rank  0"), std::string::npos);
-}
-
-TEST(TraceTest, ProfileMentionsStatesAndMessages) {
-  trace::TraceRecorder rec(1);
-  const auto s = rec.define_state("work");
-  rec.enter(0, s, des::SimTime::seconds(0.0));
-  rec.leave(0, s, des::SimTime::seconds(2.5));
-  rec.send(0, 0, 1, units::Bytes{42}, des::SimTime::seconds(1.0));
-  trace::TraceStats stats(rec);
-  const std::string p = stats.profile();
-  EXPECT_NE(p.find("work"), std::string::npos);
-  EXPECT_NE(p.find("messages: 1"), std::string::npos);
 }
 
 }  // namespace

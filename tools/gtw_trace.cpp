@@ -1,16 +1,8 @@
-// gtw-trace: inspect a GTWT binary trace (the VAMPIR-style logs the
-// simulator's TraceRecorder writes) from the command line.
+// gtw-trace: inspect the simulator's observability artifacts from the
+// command line.
 //
-//   gtw-trace run.gtwt                     summary (ranks, events, span)
-//   gtw-trace run.gtwt --profile           per-rank/state time profile
-//   gtw-trace run.gtwt --gantt [cols]      text timeline
-//   gtw-trace run.gtwt --msg-matrix        rank-pair message statistics
-//   gtw-trace run.gtwt --chrome out.json   convert to Chrome trace-event
-//                                          JSON (Perfetto / chrome://tracing)
-//   gtw-trace run.gtwt --metrics           event-kind and message totals
-//   gtw-trace run.gtwt --obs m.json        DES-engine section from an
-//                                          OBS_*.metrics.json snapshot
-//   gtw-trace OBS_x.metrics.json           engine section alone (no trace)
+//   gtw-trace OBS_x.metrics.json           DES-engine section of a
+//                                          metrics snapshot
 //
 // Spans mode — first argument is an OBS_*.spans.json causal-span artifact
 // (DESIGN.md section 13):
@@ -25,48 +17,42 @@
 //   gtw-trace x.spans.json --critical-path SEL   per-phase waterfall of one
 //                                                trace; SEL is a trace id,
 //                                                `worst`, or `p99`
+//   gtw-trace x.spans.json --profile             VAMPIR views over compute
+//   gtw-trace x.spans.json --gantt [cols]        tracks (span layer/name):
+//   gtw-trace x.spans.json --msg-matrix          busy time per track in ps,
+//                                                a text timeline, and the
+//                                                track-to-track message
+//                                                counts
 //   gtw-trace x.spans.json --chrome out.json     Chrome trace-event export
 //                                                with flow arrows on the
 //                                                parent->child span edges
 //
-// A missing, malformed, or truncated artifact — a .gtwt with a bad magic
-// or a short read, a spans file whose footer counts disagree with the
-// lines present — is exit 1 with a one-line reason; a bad flag value is
-// usage and exit 2.  CI depends on those exit codes.
+// A missing, malformed, or truncated artifact — a bad header, a field that
+// does not parse, a footer whose counts disagree with the lines present —
+// is exit 1 with a one-line reason; a bad flag value is usage and exit 2.
+// CI depends on those exit codes.
 //
 // Flags combine; sections print in the order given above.
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <exception>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <vector>
 
-#include "obs/exporter.hpp"
 #include "obs/span_analysis.hpp"
-#include "trace/trace.hpp"
 
 namespace {
 
-using gtw::trace::EventKind;
-using gtw::trace::TraceEvent;
-using gtw::trace::TraceRecorder;
-using gtw::trace::TraceStats;
-
 int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " <trace.gtwt|metrics.json> [--profile] [--gantt [cols]]"
-               " [--msg-matrix] [--chrome out.json] [--metrics]"
-               " [--obs metrics.json]\n"
-               "       "
-            << argv0
+  std::cerr << "usage: " << argv0 << " <metrics.json>\n"
+            << "       " << argv0
             << " <spans.json> [--budget] [--critical-path <id|worst|p99>]"
+               " [--profile] [--gantt [cols]] [--msg-matrix]"
                " [--chrome out.json]\n";
   return 2;
 }
@@ -108,59 +94,6 @@ int print_obs_engine(const std::string& path) {
     std::cout << "  (no des.sched.* metrics in snapshot — was the scheduler"
                  " instrumented?)\n";
   return 0;
-}
-
-void print_summary(const TraceRecorder& rec) {
-  std::int64_t begin = 0, end = 0;
-  if (!rec.events().empty()) {
-    begin = rec.events().front().time_ps;
-    end = rec.events().back().time_ps;
-  }
-  std::cout << "ranks:   " << rec.ranks() << "\n"
-            << "states:  " << rec.state_count() << "\n"
-            << "events:  " << rec.events().size() << "\n"
-            << "span:    " << static_cast<double>(end - begin) * 1e-12
-            << " s (" << begin << " .. " << end << " ps)\n";
-}
-
-void print_metrics(const TraceRecorder& rec, const TraceStats& stats) {
-  std::uint64_t enters = 0, leaves = 0, sends = 0, recvs = 0;
-  for (const TraceEvent& e : rec.events()) {
-    switch (e.kind) {
-      case EventKind::kEnter: ++enters; break;
-      case EventKind::kLeave: ++leaves; break;
-      case EventKind::kSend: ++sends; break;
-      case EventKind::kRecv: ++recvs; break;
-    }
-  }
-  std::cout << "enter events:   " << enters << "\n"
-            << "leave events:   " << leaves << "\n"
-            << "send events:    " << sends << "\n"
-            << "recv events:    " << recvs << "\n"
-            << "total messages: " << stats.total_messages() << "\n"
-            << "total bytes:    " << stats.total_bytes() << "\n";
-}
-
-void print_msg_matrix(const TraceRecorder& rec, const TraceStats& stats) {
-  const auto ranks = static_cast<std::uint32_t>(rec.ranks());
-  std::cout << "messages (rows: from, cols: to)\n      ";
-  for (std::uint32_t to = 0; to < ranks; ++to) std::cout << "\t" << to;
-  std::cout << "\n";
-  for (std::uint32_t from = 0; from < ranks; ++from) {
-    std::cout << "  " << from << "  ";
-    for (std::uint32_t to = 0; to < ranks; ++to)
-      std::cout << "\t" << stats.messages(from, to);
-    std::cout << "\n";
-  }
-  std::cout << "bytes (rows: from, cols: to)\n      ";
-  for (std::uint32_t to = 0; to < ranks; ++to) std::cout << "\t" << to;
-  std::cout << "\n";
-  for (std::uint32_t from = 0; from < ranks; ++from) {
-    std::cout << "  " << from << "  ";
-    for (std::uint32_t to = 0; to < ranks; ++to)
-      std::cout << "\t" << stats.bytes(from, to);
-    std::cout << "\n";
-  }
 }
 
 // --- spans mode -------------------------------------------------------------
@@ -274,13 +207,31 @@ void print_critical_path(const SpanFile& f, const TraceRec& t) {
 }
 
 int run_spans_mode(const std::string& path, int argc, char** argv) {
-  bool budget = false;
+  bool budget = false, profile = false, gantt = false, msg_matrix = false;
+  int gantt_cols = 72;
   std::string critical_sel;
   std::string chrome_out;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--budget") {
       budget = true;
+    } else if (arg == "--profile") {
+      profile = true;
+    } else if (arg == "--msg-matrix") {
+      msg_matrix = true;
+    } else if (arg == "--gantt") {
+      gantt = true;
+      if (i + 1 < argc && argv[i + 1][0] != '-') {
+        const std::string_view cols = argv[++i];
+        const auto [end, ec] = std::from_chars(
+            cols.data(), cols.data() + cols.size(), gantt_cols);
+        if (ec != std::errc() || end != cols.data() + cols.size() ||
+            gantt_cols <= 0) {
+          std::cerr << "gtw-trace: bad --gantt column count '" << cols
+                    << "'\n";
+          return usage(argv[0]);
+        }
+      }
     } else if (arg == "--critical-path") {
       if (i + 1 >= argc) return usage(argv[0]);
       critical_sel = argv[++i];
@@ -305,7 +256,8 @@ int run_spans_mode(const std::string& path, int argc, char** argv) {
     return 1;
   }
 
-  if (!budget && critical_sel.empty() && chrome_out.empty())
+  if (!budget && critical_sel.empty() && !profile && !gantt && !msg_matrix &&
+      chrome_out.empty())
     print_spans_summary(f);
   if (budget) {
     if (const int rc = print_budget(f); rc != 0) return rc;
@@ -318,6 +270,12 @@ int run_spans_mode(const std::string& path, int argc, char** argv) {
     }
     print_critical_path(f, *t);
   }
+  const gtw::obs::TrackViews views = profile || msg_matrix
+                                         ? gtw::obs::track_views(f)
+                                         : gtw::obs::TrackViews{};
+  if (profile) gtw::obs::write_profile(std::cout, views);
+  if (gantt) gtw::obs::write_gantt(std::cout, f, gantt_cols);
+  if (msg_matrix) gtw::obs::write_msg_matrix(std::cout, views);
   if (!chrome_out.empty()) {
     std::ofstream out(chrome_out, std::ios::binary);
     if (!out) {
@@ -341,83 +299,8 @@ int main(int argc, char** argv) {
   if (path.size() > 11 && path.rfind(".spans.json") == path.size() - 11)
     return run_spans_mode(path, argc, argv);
 
-  // Metrics-snapshot-only mode: the engine section needs no trace file.
+  // Metrics-snapshot mode: the engine section of an OBS_*.metrics.json.
   if (path.size() > 5 && path.rfind(".json") == path.size() - 5)
     return print_obs_engine(path);
-
-  bool profile = false, gantt = false, msg_matrix = false, metrics = false;
-  int gantt_cols = 72;
-  std::string chrome_out;
-  std::string obs_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--gantt") {
-      gantt = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        const std::string_view cols = argv[++i];
-        const auto [end, ec] = std::from_chars(
-            cols.data(), cols.data() + cols.size(), gantt_cols);
-        if (ec != std::errc() || end != cols.data() + cols.size() ||
-            gantt_cols <= 0) {
-          std::cerr << "gtw-trace: bad --gantt column count '" << cols
-                    << "'\n";
-          return usage(argv[0]);
-        }
-      }
-    } else if (arg == "--msg-matrix") {
-      msg_matrix = true;
-    } else if (arg == "--metrics") {
-      metrics = true;
-    } else if (arg == "--chrome") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      chrome_out = argv[++i];
-    } else if (arg == "--obs") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      obs_path = argv[++i];
-    } else {
-      std::cerr << "gtw-trace: unknown flag '" << arg << "'\n";
-      return usage(argv[0]);
-    }
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "gtw-trace: cannot open '" << path << "'\n";
-    return 1;
-  }
-  // A corrupt or truncated .gtwt is a one-line reason and exit 1, not an
-  // uncaught exception.
-  std::optional<TraceRecorder> loaded;
-  try {
-    loaded.emplace(TraceRecorder::read(in));
-  } catch (const std::exception& e) {
-    std::cerr << "gtw-trace: " << path << ": " << e.what() << "\n";
-    return 1;
-  }
-  const TraceRecorder& rec = *loaded;
-  const TraceStats stats(rec);
-
-  const bool any_section =
-      profile || gantt || msg_matrix || metrics || !chrome_out.empty();
-  if (!any_section) print_summary(rec);
-  if (!obs_path.empty()) {
-    if (const int rc = print_obs_engine(obs_path); rc != 0) return rc;
-  }
-
-  if (profile) std::cout << stats.profile();
-  if (gantt) std::cout << stats.gantt(gantt_cols);
-  if (msg_matrix) print_msg_matrix(rec, stats);
-  if (metrics) print_metrics(rec, stats);
-  if (!chrome_out.empty()) {
-    std::ofstream out(chrome_out, std::ios::binary);
-    if (!out) {
-      std::cerr << "gtw-trace: cannot write '" << chrome_out << "'\n";
-      return 1;
-    }
-    gtw::obs::write_chrome_trace(out, rec);
-    std::cout << "wrote " << chrome_out << "\n";
-  }
-  return 0;
+  return usage(argv[0]);
 }

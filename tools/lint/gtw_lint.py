@@ -60,13 +60,6 @@ Per-file rules
                         unchecked builds simulate different worlds.  Checker-
                         private state maintenance belongs in an explicit
                         `#if defined(GTW_CHECK)` block, not in the macro.
-  span-unclosed         (src/ outside src/obs/)  A member call to
-                        begin_span() or mint() whose returned span id /
-                        TraceContext is discarded.  A lost id can never be
-                        ended, aborted or closed, so the leak surfaces only
-                        as a failed drain census (obs.span.leak) long after
-                        the offending line; store the result and retire it
-                        on every exit path.
   unit-escape           A `.value()`/`.count()` extraction whose result
                         flows, on the same statement, back into a units::
                         construction or unit factory — in src/ outside
@@ -464,10 +457,6 @@ def check_per_file(sf: SourceFile, rep: Reporter) -> None:
     library_code = in_module(relpath, "src/")
     meta_wan_guard = (in_module(relpath, "src/meta/")
                       and not in_module(relpath, "path_transport"))
-    # span-unclosed polices the *producers* of spans; src/obs/ implements
-    # the tracer itself (its methods legitimately manipulate raw ids).
-    span_guard = (in_module(relpath, "src/")
-                  and not in_module(relpath, "src/obs/"))
 
     # Group tokens by line for the line-context checks raw-rate-double needs.
     line_toks: dict[int, list[Token]] = {}
@@ -555,7 +544,7 @@ def check_per_file(sf: SourceFile, rep: Reporter) -> None:
                 rep.report(sf, t.line, "raw-metric-print",
                            "direct stdout printing in library code; metrics "
                            "leave the simulator through the obs exporters "
-                           "(write_metrics_json, write_chrome_trace) or "
+                           "(write_metrics_json, SpanTracer::write_json) or "
                            "as a returned string the caller prints")
 
         if t.kind != "id":
@@ -592,14 +581,14 @@ def check_per_file(sf: SourceFile, rep: Reporter) -> None:
                 rep.report(sf, t.line, "raw-metric-print",
                            "direct stdout printing in library code; metrics "
                            "leave the simulator through the obs exporters "
-                           "(write_metrics_json, write_chrome_trace) or "
+                           "(write_metrics_json, SpanTracer::write_json) or "
                            "as a returned string the caller prints")
             if (library_code and t.text == "fprintf" and i + 2 < len(toks)
                     and is_id(toks[i + 2], "stdout")):
                 rep.report(sf, t.line, "raw-metric-print",
                            "direct stdout printing in library code; metrics "
                            "leave the simulator through the obs exporters "
-                           "(write_metrics_json, write_chrome_trace) or "
+                           "(write_metrics_json, SpanTracer::write_json) or "
                            "as a returned string the caller prints")
 
         # Bare clock type names (with or without std::chrono:: qualifier).
@@ -769,48 +758,6 @@ def check_per_file(sf: SourceFile, rep: Reporter) -> None:
                            "so checked and unchecked runs simulate different "
                            "worlds; move checker-state maintenance into an "
                            "explicit #if defined(GTW_CHECK) block")
-
-    # ---- span-unclosed ---------------------------------------------------
-    # begin_span() returns the span id; mint() returns the TraceContext.
-    # Discarding either is a guaranteed leak: the span can never be ended
-    # or aborted, the trace never closed, and the GTW_CHECK drain census
-    # (obs.span.leak) will fire long after the offending line ran.  Catch
-    # it at the call site instead.  Member-access requirement skips the
-    # SpanTracer definitions themselves (SpanTracer::begin_span).
-    if span_guard:
-        for i, t in enumerate(toks):
-            if not is_id(t, "begin_span", "mint"):
-                continue
-            if i + 1 >= len(toks) or not is_p(toks[i + 1], "("):
-                continue
-            if not is_member_access(toks, i):
-                continue
-            s = statement_start(toks, i)
-            consumed = False
-            depth = 0
-            for k in range(s, i):
-                tk = toks[k]
-                if is_p(tk, "=") or is_id(tk, "return") \
-                        or (tk.kind == "punct" and tk.text.endswith("=")
-                            and tk.text not in ("==", "!=", "<=", ">=")):
-                    consumed = True
-                    break
-                if is_p(tk, "(", "[", "{"):
-                    depth += 1
-                elif is_p(tk, ")", "]", "}"):
-                    depth -= 1
-            if depth > 0:  # inside an argument list: result is consumed
-                consumed = True
-            if not consumed:
-                what = ("span id" if t.text == "begin_span"
-                        else "TraceContext")
-                rep.report(
-                    sf, t.line, "span-unclosed",
-                    f"returned {what} from {t.text}() discarded; a span "
-                    "whose id is lost can never be ended or aborted and "
-                    "will trip the drain leak census — store the result "
-                    "and close it on every exit path (or annotate why "
-                    "another owner retires it)")
 
     # ---- unit-escape -----------------------------------------------------
     if unit_escape_guard:
@@ -1320,8 +1267,8 @@ def obs_catalog(sites: list[ObsSite]) -> dict:
 # Simulator modules whose qualified types count as components when they
 # appear in a catalog function's parameter list.  Deliberately excludes
 # units (value types), std, and the catalogs' own modules (obs, check).
-COMPONENT_MODULES = ("des", "net", "exec", "trace", "flow", "meta",
-                     "testbed", "linalg", "fire", "scanner", "viz", "apps")
+COMPONENT_MODULES = ("des", "net", "exec", "flow", "meta", "testbed",
+                     "linalg", "fire", "scanner", "viz", "apps")
 # Qualified value types that ride along in catalog signatures without
 # being components themselves.
 COMPONENT_IGNORE = {("des", "SimTime"), ("des", "EventHandle")}
@@ -1386,7 +1333,7 @@ PER_FILE_RULES = [
     "unordered-container", "unordered-iter", "raw-entropy", "wall-clock",
     "pointer-order", "past-schedule", "raw-rate-double",
     "unitless-size-param", "raw-metric-print", "pool-bypass-new",
-    "meta-raw-tcp", "unit-escape", "check-side-effect", "span-unclosed",
+    "meta-raw-tcp", "unit-escape", "check-side-effect",
 ]
 PROJECT_RULES = [
     "layer-violation", "layer-cycle", "obs-name-registry", "event-lifetime",
@@ -1408,7 +1355,6 @@ RULE_HELP = {
     "meta-raw-tcp": "raw TcpConnection in src/meta/",
     "unit-escape": ".value()/.count() re-entering unit-typed expressions",
     "check-side-effect": "mutating expression inside GTW_CHECK_HOOK",
-    "span-unclosed": "discarded begin_span()/mint() result",
     "layer-violation": "include edge not allowed by the module DAG",
     "layer-cycle": "cycle in the module include graph",
     "obs-name-registry": "metric name kind/case collision",

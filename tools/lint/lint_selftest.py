@@ -56,7 +56,6 @@ EXPECTATIONS = {
     # discarding member fn in poller.cpp — proves the cross-file pass.
     "bad/src/event_lifetime": {"event-lifetime": 2},
     "bad/check_side_effect.cpp": {"check-side-effect": 2},
-    "bad/src/span_unclosed.cpp": {"span-unclosed": 3},
     # directory fixture with both src/obs/ and src/check/ catalogs: the
     # whole-project coverage diff must flag the uncovered net::Host.
     "bad/coverage_tree": {"check-coverage": 1},
@@ -69,7 +68,6 @@ EXPECTATIONS = {
     "clean/src/obs_registry_clean.cpp": {},
     "clean/src/event_lifetime_clean.cpp": {},
     "clean/check_side_effect_clean.cpp": {},
-    "clean/src/span_unclosed_clean.cpp": {},
     "clean/coverage_tree": {},
     # every rule's trigger text inside comments / strings / raw strings:
     # the lexer must keep all rules silent.
