@@ -235,10 +235,9 @@ void GroundwaterCoupling::coupling_step(int step) {
 
   // One trace per coupling step when a span hook is installed.
   des::SpanHook* h = sched.span_hook();
-  des::TraceContext outer, ctx;
+  des::TraceContext ctx;
   std::uint64_t solve = 0;
   if (h != nullptr) {
-    outer = h->current();
     ctx = h->mint("gw.step", sched.now());
     solve = h->begin_span(ctx, des::SpanPhase::kCompute, "gw", "solve",
                           sched.now());
@@ -269,7 +268,8 @@ void GroundwaterCoupling::coupling_step(int step) {
   // Rank 0 (TRACE) recomputes the flow, then ships the field.  The send
   // event inherits the solve span as its context, so the field transfer's
   // spans nest under the solve that produced it.
-  if (h != nullptr) h->adopt(des::under(ctx, solve));
+  des::TraceContext outer;
+  if (h != nullptr) outer = h->adopt(des::under(ctx, solve));
   sched.schedule_after(timing_.solve_per_step, [this, step, solve, &sched]() {
     if (des::SpanHook* h2 = sched.span_hook(); h2 != nullptr)
       h2->end_span(solve, sched.now());

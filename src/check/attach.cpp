@@ -2,7 +2,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -205,33 +204,55 @@ void attach_tcp(Monitor& mon, const net::TcpConnection& conn,
 
 // --- meta -------------------------------------------------------------------
 
-void CommChecker::on_wan_outcome(int src_rank, int dst_rank,
-                                 bool delivered_to_app, bool after_abandon,
-                                 bool duplicate) {
-  WanOutcome o;
-  o.delivered_to_app = delivered_to_app;
-  o.after_abandon = after_abandon;
-  o.duplicate = duplicate;
-  if (auto broke = wan_outcome_sane(o)) {
-    mon_.violation(id_ + ".wan-outcome",
-                   fmt("%d->%d: %s", src_rank, dst_rank, broke->c_str()));
-  }
-  mon_.note(fmt("wan copy %d->%d %s", src_rank, dst_rank,
-                delivered_to_app ? "delivered"
-                : duplicate      ? "duplicate"
-                                 : "post-abandon"));
+namespace {
+
+WanAccounts snapshot_wan(const meta::Communicator& comm) {
+  const meta::Communicator::ReliabilityStats& r = comm.reliability();
+  WanAccounts a;
+  a.guarded = r.wan_guarded;
+  a.copies = r.wan_copies;
+  a.delivered = r.wan_delivered;
+  a.duplicates = r.duplicates_suppressed;
+  a.dropped_after_unreachable = r.dropped_after_unreachable;
+  a.unreachable_reports = r.unreachable_reports;
+  return a;
 }
 
-void CommChecker::on_unreachable(int src_rank, int dst_rank) {
-  mon_.note(fmt("unreachable reported %d->%d", src_rank, dst_rank));
+PathAccounts snapshot_path(const meta::PathTransport& path, int side) {
+  const meta::PathTransport::Stats& st = path.stats(side);
+  PathAccounts a;
+  a.messages = st.messages;
+  a.delivered_messages = st.delivered_messages;
+  a.bytes = st.bytes;
+  a.delivered_bytes = st.delivered_bytes;
+  a.reassembly_bytes = st.reassembly_bytes;
+  a.undispatched_chunks = path.undispatched_chunks(side);
+  a.outstanding_chunks = path.outstanding_chunks(side);
+  a.inflight_messages = path.inflight_messages(side);
+  a.chunks_created = st.chunks_created;
+  a.chunks_landed = st.chunks_landed;
+  a.chunk_resends = st.chunk_resends;
+  a.duplicate_chunks = st.duplicate_chunks;
+  return a;
 }
+
+}  // namespace
 
 void attach_communicator(Monitor& mon, meta::Communicator& comm,
                          const std::string& name) {
   const std::string id = "meta." + name;
-  auto& checker = mon.make_checker<CommChecker>(mon, id);
-  comm.set_check_observer(&checker);
-  // Ledger subset laws that hold without per-copy visibility too.
+  mon.add_invariant(id + ".wan-outcome",
+                    [&comm]() -> std::optional<std::string> {
+                      return wan_outcomes(snapshot_wan(comm));
+                    });
+  mon.add_invariant(id + ".verdict",
+                    [&comm]() -> std::optional<std::string> {
+                      return wan_verdicts(snapshot_wan(comm), false);
+                    });
+  mon.add_drain_check(id + ".verdict",
+                      [&comm]() -> std::optional<std::string> {
+                        return wan_verdicts(snapshot_wan(comm), true);
+                      });
   mon.add_invariant(
       id + ".reliability", [&comm]() -> std::optional<std::string> {
         const auto& r = comm.reliability();
@@ -245,69 +266,27 @@ void attach_communicator(Monitor& mon, meta::Communicator& comm,
       });
 }
 
-void PathChecker::on_chunk(int side, std::uint64_t msg_seq, std::uint32_t idx,
-                           bool duplicate) {
-  auto& seen = seen_chunks_[side];
-  const auto key = std::make_pair(msg_seq, idx);
-  if (duplicate) {
-    // The transport says this chunk already arrived; if we never saw it,
-    // the duplicate-suppression bookkeeping is lying.
-    if (seen.find(key) == seen.end()) {
-      mon_.violation(id_ + ".chunk-dup",
-                     fmt("side %d chunk (msg %llu, idx %u) flagged "
-                         "duplicate but never delivered",
-                         side, static_cast<unsigned long long>(msg_seq),
-                         idx));
-    }
-    return;
-  }
-  if (!seen.insert(key).second) {
-    mon_.violation(id_ + ".chunk-twice",
-                   fmt("side %d chunk (msg %llu, idx %u) delivered twice "
-                       "without duplicate suppression",
-                       side, static_cast<unsigned long long>(msg_seq), idx));
-  }
-}
-
-void PathChecker::on_message(int side, std::uint64_t msg_seq,
-                             std::uint64_t bytes) {
-  if (msg_seq != next_msg_[side]) {
-    mon_.violation(id_ + ".order",
-                   fmt("side %d delivered message seq=%llu, expected "
-                       "seq=%llu — send order broken",
-                       side, static_cast<unsigned long long>(msg_seq),
-                       static_cast<unsigned long long>(next_msg_[side])));
-    // Resynchronize so one break reports once, not per message.
-    next_msg_[side] = msg_seq + 1;
-  } else {
-    ++next_msg_[side];
-  }
-  mon_.note(fmt("path %s side %d msg %llu (%llu B) delivered", id_.c_str(),
-                side, static_cast<unsigned long long>(msg_seq),
-                static_cast<unsigned long long>(bytes)));
-}
-
 void attach_path_transport(Monitor& mon, meta::PathTransport& path,
                            const std::string& name) {
   const std::string id = "meta.path." + name;
-  auto& checker = mon.make_checker<PathChecker>(mon, id);
-  path.set_check_observer(&checker);
   for (int side = 0; side < 2; ++side) {
-    mon.add_drain_check(
-        id + ".side" + std::to_string(side) + ".drain",
-        [&path, side]() -> std::optional<std::string> {
-          const auto& st = path.stats(side);
-          PathAccounts a;
-          a.messages = st.messages;
-          a.delivered_messages = st.delivered_messages;
-          a.bytes = st.bytes;
-          a.delivered_bytes = st.delivered_bytes;
-          a.reassembly_bytes = st.reassembly_bytes;
-          a.undispatched_chunks = path.undispatched_chunks(side);
-          a.outstanding_chunks = path.outstanding_chunks(side);
-          a.inflight_messages = path.inflight_messages(side);
-          return path_drained(a);
-        });
+    const std::string sid = id + ".side" + std::to_string(side);
+    mon.add_invariant(sid + ".chunk-dup",
+                      [&path, side]() -> std::optional<std::string> {
+                        return path_duplicates(snapshot_path(path, side));
+                      });
+    mon.add_invariant(sid + ".chunk-twice",
+                      [&path, side]() -> std::optional<std::string> {
+                        return path_landings(snapshot_path(path, side), false);
+                      });
+    mon.add_drain_check(sid + ".chunk-twice",
+                        [&path, side]() -> std::optional<std::string> {
+                          return path_landings(snapshot_path(path, side), true);
+                        });
+    mon.add_drain_check(sid + ".drain",
+                        [&path, side]() -> std::optional<std::string> {
+                          return path_drained(snapshot_path(path, side));
+                        });
   }
 }
 

@@ -5,22 +5,18 @@
 //
 // Each attach_* snapshots the component's existing accessors into the pure
 // ledger structs of invariants.hpp and registers the verdicts with the
-// Monitor; components are observed, never modified.  Where an invariant
-// needs per-event visibility (scheduler ordering, chunk exactly-once, WAN
-// retry outcomes), attach_* additionally installs a hook/observer object —
-// those notification call sites inside the components are GTW_CHECK_HOOK-
-// guarded, so in unchecked builds the hook objects are installed but
-// simply never called (and the per-event invariants go unevaluated, while
-// every counter-based invariant still works).
+// Monitor; components are observed, never modified, and every ledger law
+// is checked in every build.  Only the scheduler's per-event discipline
+// (dispatch order, cancels) needs a hook object: its notification call
+// sites are GTW_CHECK_HOOK-guarded, so in unchecked builds the hook is
+// installed but never called.
 //
 // Lifetime: attached components must outlive the Monitor.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <string>
-#include <utility>
 
 #include "check/invariants.hpp"
 #include "check/monitor.hpp"
@@ -117,51 +113,18 @@ void attach_tcp(Monitor& mon, const net::TcpConnection& conn,
                 const std::string& name, bool expect_complete = false);
 
 // --- meta -------------------------------------------------------------------
-// Per-copy outcome sanity for watchdog-guarded WAN sends, via
-// meta::CommCheckObserver.  Public (like SchedulerChecker) so the
-// violation-fixture harness can feed it outcomes directly in builds where
-// the communicator's notification sites are compiled out.
-class CommChecker : public meta::CommCheckObserver {
- public:
-  CommChecker(Monitor& mon, std::string id)
-      : mon_(mon), id_(std::move(id)) {}
-
-  void on_wan_outcome(int src_rank, int dst_rank, bool delivered_to_app,
-                      bool after_abandon, bool duplicate) override;
-  void on_unreachable(int src_rank, int dst_rank) override;
-
- private:
-  Monitor& mon_;
-  std::string id_;
-};
-
-// Exactly-once, strictly-in-order delivery ledger for one PathTransport
-// side pair; same public-for-fixtures rationale as CommChecker.
-class PathChecker : public meta::PathCheckObserver {
- public:
-  PathChecker(Monitor& mon, std::string id) : mon_(mon), id_(std::move(id)) {}
-
-  void on_chunk(int side, std::uint64_t msg_seq, std::uint32_t idx,
-                bool duplicate) override;
-  void on_message(int side, std::uint64_t msg_seq,
-                  std::uint64_t bytes) override;
-
- private:
-  Monitor& mon_;
-  std::string id_;
-  std::set<std::pair<std::uint64_t, std::uint32_t>> seen_chunks_[2];
-  std::uint64_t next_msg_[2] = {0, 0};
-};
-
-// WAN retry contract via meta::CommCheckObserver: every arriving copy is
-// exactly one of delivered / duplicate-suppressed / dropped-after-abandon,
-// and nothing is handed to the application after an unreachable report.
+// The WAN retry ledger (Communicator::ReliabilityStats), in every build:
+//   .wan-outcome  every arriving copy delivered, suppressed or dropped
+//   .verdict      each guarded message delivered or reported unreachable,
+//                 at most once continuously and exactly once at drain
+//   .reliability  drops after an unreachable report imply a report
 void attach_communicator(Monitor& mon, meta::Communicator& comm,
                          const std::string& name);
 
-// Exactly-once, in-order chunk and message delivery via
-// meta::PathCheckObserver, plus the stranded-chunk / reassembly-leak drain
-// census of path_drained().
+// The chunk ledger of each side N (PathTransport::Stats), in every build:
+//   .sideN.chunk-dup    duplicate arrivals never outnumber re-issues
+//   .sideN.chunk-twice  chunks land at most once, all of them by drain
+//   .sideN.drain        nothing stranded at drain (path_drained)
 void attach_path_transport(Monitor& mon, meta::PathTransport& path,
                            const std::string& name);
 

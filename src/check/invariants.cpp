@@ -143,6 +143,28 @@ std::optional<std::string> path_drained(const PathAccounts& a) {
   return std::nullopt;
 }
 
+std::optional<std::string> path_duplicates(const PathAccounts& a) {
+  if (a.duplicate_chunks <= a.chunk_resends) return std::nullopt;
+  return balance_msg("duplicate chunks without a re-issue",
+                     a.duplicate_chunks, a.chunk_resends,
+                     "duplicate_chunks <= chunk_resends");
+}
+
+std::optional<std::string> path_landings(const PathAccounts& a,
+                                         bool drained) {
+  if (a.chunks_landed > a.chunks_created) {
+    return balance_msg("chunks landed more often than created",
+                       a.chunks_landed, a.chunks_created,
+                       u64s("duplicates", a.duplicate_chunks));
+  }
+  if (drained && a.chunks_landed != a.chunks_created) {
+    return balance_msg("chunks never landed at drain", a.chunks_landed,
+                       a.chunks_created,
+                       u64s("resends", a.chunk_resends));
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> flow_conservation(const FlowAccounts& a) {
   const std::uint64_t pushed_accounted =
       a.admitted + a.admission_dropped + a.waiting_admission;
@@ -197,17 +219,30 @@ std::optional<std::string> flow_stage_sanity(const FlowStageAccounts& a) {
   return std::nullopt;
 }
 
-std::optional<std::string> wan_outcome_sane(const WanOutcome& o) {
-  const int set = (o.delivered_to_app ? 1 : 0) + (o.after_abandon ? 1 : 0) +
-                  (o.duplicate ? 1 : 0);
-  if (set != 1) {
-    char buf[120];
-    std::snprintf(buf, sizeof(buf),
-                  "WAN copy fate not exactly-one-of: delivered=%d "
-                  "after_abandon=%d duplicate=%d",
-                  o.delivered_to_app ? 1 : 0, o.after_abandon ? 1 : 0,
-                  o.duplicate ? 1 : 0);
-    return std::string(buf);
+std::optional<std::string> wan_outcomes(const WanAccounts& a) {
+  const std::uint64_t fates =
+      a.delivered + a.duplicates + a.dropped_after_unreachable;
+  if (a.copies == fates) return std::nullopt;
+  return balance_msg("WAN copy fates", a.copies, fates,
+                     u64s("delivered", a.delivered) + " " +
+                         u64s("duplicates", a.duplicates) + " " +
+                         u64s("dropped_after_unreachable",
+                              a.dropped_after_unreachable));
+}
+
+std::optional<std::string> wan_verdicts(const WanAccounts& a, bool drained) {
+  const std::uint64_t verdicts = a.delivered + a.unreachable_reports;
+  if (verdicts > a.guarded) {
+    return balance_msg("WAN verdicts exceed guarded messages", verdicts,
+                       a.guarded,
+                       u64s("delivered", a.delivered) + " " +
+                           u64s("unreachable", a.unreachable_reports));
+  }
+  if (drained && verdicts != a.guarded) {
+    return balance_msg("guarded WAN messages without a verdict at drain",
+                       verdicts, a.guarded,
+                       u64s("delivered", a.delivered) + " " +
+                           u64s("unreachable", a.unreachable_reports));
   }
   return std::nullopt;
 }

@@ -102,8 +102,19 @@ struct PathAccounts {
   std::uint64_t undispatched_chunks = 0;
   std::uint64_t outstanding_chunks = 0;
   std::uint64_t inflight_messages = 0;
+  std::uint64_t chunks_created = 0;
+  std::uint64_t chunks_landed = 0;  // first arrivals
+  std::uint64_t chunk_resends = 0;
+  std::uint64_t duplicate_chunks = 0;
 };
 std::optional<std::string> path_drained(const PathAccounts& a);
+// Chunk exactly-once, continuously: a duplicate arrival needs an earlier
+// re-issue (duplicate_chunks <= chunk_resends) ...
+std::optional<std::string> path_duplicates(const PathAccounts& a);
+// ... and no chunk lands twice (chunks_landed <= chunks_created); with
+// `drained`, every chunk created has landed.
+std::optional<std::string> path_landings(const PathAccounts& a,
+                                         bool drained);
 
 // --- flow::StageGraph -------------------------------------------------------
 // Item conservation through a dataflow graph: everything pushed is admitted
@@ -139,14 +150,22 @@ struct FlowStageAccounts {
 std::optional<std::string> flow_stage_sanity(const FlowStageAccounts& a);
 
 // --- meta::Communicator WAN retry contract ----------------------------------
-// Verdict on a single WAN copy arrival, as reported by CommCheckObserver.
-// Exactly one of the three flags may be set; `delivered_to_app` after an
-// abandon is the contract violation the watchdog exists to prevent.
-struct WanOutcome {
-  bool delivered_to_app = false;
-  bool after_abandon = false;
-  bool duplicate = false;
+// The ledger of watchdog-guarded WAN messages.  Every arriving copy has
+// exactly one fate, continuously: copies == delivered + duplicates +
+// dropped_after_unreachable.
+struct WanAccounts {
+  std::uint64_t guarded = 0;
+  std::uint64_t copies = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t dropped_after_unreachable = 0;
+  std::uint64_t unreachable_reports = 0;
 };
-std::optional<std::string> wan_outcome_sane(const WanOutcome& o);
+std::optional<std::string> wan_outcomes(const WanAccounts& a);
+// Every guarded message gets at most one verdict, delivered or reported
+// unreachable (delivered + unreachable_reports <= guarded): a delivery
+// after the report is the contract the watchdog exists to keep.  With
+// `drained`, exactly one — a message with no verdict at drain is a hang.
+std::optional<std::string> wan_verdicts(const WanAccounts& a, bool drained);
 
 }  // namespace gtw::check

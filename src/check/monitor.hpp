@@ -13,10 +13,9 @@
 //
 // The Monitor is deliberately build-mode independent: it compiles and runs
 // identically whether or not GTW_CHECK is defined.  What changes with the
-// build mode is *wiring density* — under GTW_CHECK the attach catalog
-// (attach.hpp) additionally installs the scheduler hook and the per-chunk /
-// per-delivery observers whose call sites are compiled out otherwise.  That
-// split keeps the checker logic itself unit-testable in every build.
+// build mode is *wiring density* — under GTW_CHECK the scheduler hook the
+// attach catalog (attach.hpp) installs is also called; its call sites are
+// compiled out otherwise.  Every ledger law is checked in both builds.
 #pragma once
 
 #include <cstddef>

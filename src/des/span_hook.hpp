@@ -82,9 +82,11 @@ struct SpanHook {
   virtual void on_event_cancel(std::uint64_t seq) = 0;
 
   // --- component integration -------------------------------------------
-  // Mint a fresh trace rooted at `now` (workload origin).  The new context
-  // becomes current until the surrounding event ends or adopt() replaces
-  // it.  [[nodiscard]], like begin_span: a discarded context or span id
+  // Mint a fresh trace rooted at `now` (workload origin) and return its
+  // root context.  current() is unchanged: a caller that wants the events
+  // it schedules to join the new trace brackets them with adopt(), so the
+  // next origin in the same event mints a trace of its own.
+  // [[nodiscard]], like begin_span: a discarded context or span id
   // can never be closed, ended or aborted, so the leak would surface only
   // as a failed drain census long after the call (tests/span_compile_fail).
   // GCC 12 does not diagnose [[nodiscard]] on a call through the vtable,

@@ -45,6 +45,7 @@ void Communicator::send(int src_rank, int dst_rank, int tag,
           deliver(dst_rank, std::move(msg));
         });
   } else if (retry_enabled_) {
+    ++reliability_.wan_guarded;
     auto st = std::make_shared<WanSendState>();
     st->src_rank = src_rank;
     st->dst_rank = dst_rank;
@@ -103,11 +104,7 @@ void Communicator::wan_attempt(std::shared_ptr<WanSendState> st) {
   if (h != nullptr) prev = h->adopt(des::under(st->ctx, st->retry_span));
   mc_->wan_send(st->src_machine, st->dst_machine, units::Bytes{st->bytes},
                 [this, st]() {
-    GTW_CHECK_HOOK(if (check_observer_ != nullptr)
-                       check_observer_->on_wan_outcome(
-                           st->src_rank, st->dst_rank,
-                           !st->abandoned && !st->delivered, st->abandoned,
-                           st->delivered));
+    ++reliability_.wan_copies;
     if (st->abandoned) {
       // The unreachable report already fired; the application has been told
       // this message failed, so a tardy copy must not resurrect it.
@@ -121,6 +118,7 @@ void Communicator::wan_attempt(std::shared_ptr<WanSendState> st) {
       return;
     }
     st->delivered = true;
+    ++reliability_.wan_delivered;
     st->watchdog.cancel();
     if (des::SpanHook* h2 = mc_->scheduler().span_hook(); h2 != nullptr) {
       h2->end_span(st->retry_span, mc_->scheduler().now());
@@ -141,9 +139,6 @@ void Communicator::wan_attempt(std::shared_ptr<WanSendState> st) {
     if (st->attempts > retry_.max_retries) {
       st->abandoned = true;
       ++reliability_.unreachable_reports;
-      GTW_CHECK_HOOK(if (check_observer_ != nullptr)
-                         check_observer_->on_unreachable(st->src_rank,
-                                                         st->dst_rank));
       if (des::SpanHook* h2 = mc_->scheduler().span_hook(); h2 != nullptr) {
         // The message is dead: retire the retry span and the whole trace
         // as aborted so the tracer's leak census stays clean even though
@@ -232,17 +227,32 @@ std::vector<int> Communicator::machines_involved() const {
   return out;
 }
 
-void Communicator::finish_collective(std::uint64_t key,
-                                     std::uint64_t wan_bytes,
-                                     std::function<void(int rank)> per_rank) {
+Communicator::Collective& Communicator::open_round(CollKind kind) {
+  return collectives_[{kind, round_seq_[kind]}];
+}
+
+void Communicator::arrive(CollKind kind, int rank, std::uint64_t wan_bytes,
+                          Completion done) {
+  const CollKey key{kind, round_seq_[kind]};
+  Collective& c = collectives_[key];
+  c.continuations.resize(ranks_.size());
+  c.continuations.at(static_cast<std::size_t>(rank)) = std::move(done);
+  if (++c.arrived < size()) return;
+  ++round_seq_[kind];
+  finish_collective(key, wan_bytes);
+}
+
+void Communicator::finish_collective(CollKey key, std::uint64_t wan_bytes) {
   const des::SimTime intra = intra_tree_cost(wan_bytes);
   const std::vector<int> machines = machines_involved();
   const int root_machine = location(collectives_[key].root).machine;
   auto& sched = mc_->scheduler();
 
-  auto final_stage = [this, key, intra, per_rank, &sched]() {
-    sched.schedule_after(intra, [this, key, per_rank]() {
-      for (int r = 0; r < size(); ++r) per_rank(r);
+  auto final_stage = [this, key, intra, &sched]() {
+    sched.schedule_after(intra, [this, key]() {
+      const Collective& c = collectives_.at(key);
+      for (const Completion& done : c.continuations)
+        if (done) done(c);
       collectives_.erase(key);
     });
   };
@@ -282,165 +292,92 @@ void Communicator::finish_collective(std::uint64_t key,
 }
 
 void Communicator::barrier(int rank, Callback cb) {
-  const std::uint64_t key = (1ULL << 62) | barrier_seq_;
-  Collective& c = collectives_[key];
-  if (c.continuations.empty()) c.continuations.resize(ranks_.size());
-  c.continuations.at(static_cast<std::size_t>(rank)) = std::move(cb);
-  if (++c.arrived < size()) return;
-  ++barrier_seq_;
-  finish_collective(key, 8, [this, key](int r) {
-    auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
-    if (cont) cont();
+  arrive(kBarrier, rank, 8, [cb = std::move(cb)](const Collective&) {
+    if (cb) cb();
   });
 }
 
 void Communicator::broadcast(int rank, int root, std::uint64_t bytes,
                              std::function<void(const std::any&)> cb,
                              std::any root_data) {
-  const std::uint64_t key = (2ULL << 62) | bcast_seq_;
-  Collective& c = collectives_[key];
-  if (c.continuations.empty()) c.continuations.resize(ranks_.size());
+  Collective& c = open_round(kBroadcast);
   c.root = root;
-  c.bytes = bytes;
   if (rank == root) c.bcast_data = std::move(root_data);
-  c.continuations.at(static_cast<std::size_t>(rank)) =
-      [this, key, cb = std::move(cb)]() { cb(collectives_[key].bcast_data); };
-  if (++c.arrived < size()) return;
-  ++bcast_seq_;
-  finish_collective(key, bytes, [this, key](int r) {
-    auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
-    if (cont) cont();
-  });
+  arrive(kBroadcast, rank, bytes,
+         [cb = std::move(cb)](const Collective& done) { cb(done.bcast_data); });
 }
 
 void Communicator::allreduce(int rank, const std::vector<double>& contribution,
                              ReduceOp op,
                              std::function<void(std::vector<double>)> cb) {
-  const std::uint64_t key = (3ULL << 62) | reduce_seq_;
-  Collective& c = collectives_[key];
-  if (c.continuations.empty()) {
-    c.continuations.resize(ranks_.size());
-    c.contribs.resize(ranks_.size());
-  }
+  Collective& c = open_round(kAllreduce);
+  c.contribs.resize(ranks_.size());
   c.contribs.at(static_cast<std::size_t>(rank)) = contribution;
-  c.continuations.at(static_cast<std::size_t>(rank)) = nullptr;  // placeholder
-  auto cbs = std::make_shared<
-      std::function<void(std::vector<double>)>>(std::move(cb));
-  c.continuations.at(static_cast<std::size_t>(rank)) = [this, key, cbs]() {
-    // Reduction computed once all contributions are in; recompute per rank
-    // is cheap for the small vectors used here.
-    Collective& cc = collectives_[key];
-    std::vector<double> acc = cc.contribs.at(0);
-    for (std::size_t i = 1; i < cc.contribs.size(); ++i) {
-      const auto& v = cc.contribs[i];
+  c.op = op;
+  const std::uint64_t payload = contribution.size() * sizeof(double);
+  arrive(kAllreduce, rank, std::max<std::uint64_t>(payload, 8),
+         [cb = std::move(cb)](const Collective& done) {
+    // Each rank folds the contributions itself; cheap for the small
+    // vectors reduced here.
+    std::vector<double> acc = done.contribs.at(0);
+    for (std::size_t i = 1; i < done.contribs.size(); ++i) {
+      const auto& v = done.contribs[i];
       for (std::size_t j = 0; j < acc.size() && j < v.size(); ++j) {
-        switch (static_cast<ReduceOp>(cc.bytes)) {
+        switch (done.op) {
           case ReduceOp::kSum: acc[j] += v[j]; break;
           case ReduceOp::kMax: acc[j] = std::max(acc[j], v[j]); break;
           case ReduceOp::kMin: acc[j] = std::min(acc[j], v[j]); break;
         }
       }
     }
-    (*cbs)(std::move(acc));
-  };
-  c.bytes = static_cast<std::uint64_t>(op);  // stash the op
-  if (++c.arrived < size()) return;
-  ++reduce_seq_;
-  const std::uint64_t payload = contribution.size() * sizeof(double);
-  finish_collective(key, std::max<std::uint64_t>(payload, 8),
-                    [this, key](int r) {
-    auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
-    if (cont) cont();
+    cb(std::move(acc));
   });
 }
 
 void Communicator::gather(int rank, std::uint64_t bytes, std::any data,
                           int root,
                           std::function<void(std::vector<std::any>)> root_cb) {
-  const std::uint64_t key = (4ULL << 62) | gather_seq_;
-  Collective& c = collectives_[key];
-  if (c.continuations.empty()) {
-    c.continuations.resize(ranks_.size());
-    c.gathered.resize(ranks_.size());
-  }
+  Collective& c = open_round(kGather);
   c.root = root;
-  c.gathered.at(static_cast<std::size_t>(rank)) = std::move(data);
-  if (rank == root) {
-    c.continuations.at(static_cast<std::size_t>(rank)) =
-        [this, key, cb = std::move(root_cb)]() {
-          cb(collectives_[key].gathered);
-        };
-  }
-  if (++c.arrived < size()) return;
-  ++gather_seq_;
-  finish_collective(key, bytes * static_cast<std::uint64_t>(size()),
-                    [this, key](int r) {
-    auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
-    if (cont) cont();
-  });
+  c.slots.resize(ranks_.size());
+  c.slots.at(static_cast<std::size_t>(rank)) = std::move(data);
+  Completion done;
+  if (rank == root)
+    done = [cb = std::move(root_cb)](const Collective& d) { cb(d.slots); };
+  arrive(kGather, rank, bytes * static_cast<std::uint64_t>(size()),
+         std::move(done));
 }
 
 void Communicator::scatter(int rank, int root, std::uint64_t bytes_per_rank,
                            std::function<void(const std::any&)> cb,
                            std::vector<std::any> root_data) {
-  const std::uint64_t key = (5ULL << 60) | scatter_seq_;
-  Collective& c = collectives_[key];
-  if (c.continuations.empty()) {
-    c.continuations.resize(ranks_.size());
-    c.gathered.resize(ranks_.size());
-  }
+  Collective& c = open_round(kScatter);
   c.root = root;
-  if (rank == root) c.gathered = std::move(root_data);
-  c.continuations.at(static_cast<std::size_t>(rank)) =
-      [this, key, rank, cb = std::move(cb)]() {
-        Collective& cc = collectives_[key];
-        cb(static_cast<std::size_t>(rank) < cc.gathered.size()
-               ? cc.gathered[static_cast<std::size_t>(rank)]
-               : std::any{});
-      };
-  if (++c.arrived < size()) return;
-  ++scatter_seq_;
-  finish_collective(key, bytes_per_rank * static_cast<std::uint64_t>(size()),
-                    [this, key](int r) {
-    auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
-    if (cont) cont();
-  });
+  if (rank == root) c.slots = std::move(root_data);
+  arrive(kScatter, rank, bytes_per_rank * static_cast<std::uint64_t>(size()),
+         [rank, cb = std::move(cb)](const Collective& done) {
+           const auto r = static_cast<std::size_t>(rank);
+           cb(r < done.slots.size() ? done.slots[r] : std::any{});
+         });
 }
 
 void Communicator::alltoall(int rank, std::uint64_t bytes_per_pair,
                             std::vector<std::any> contributions,
                             std::function<void(std::vector<std::any>)> cb) {
-  const std::uint64_t key = (6ULL << 60) | alltoall_seq_;
-  Collective& c = collectives_[key];
-  if (c.continuations.empty()) {
-    c.continuations.resize(ranks_.size());
-    c.matrix.resize(ranks_.size());
-  }
+  Collective& c = open_round(kAlltoall);
+  c.matrix.resize(ranks_.size());
   c.matrix.at(static_cast<std::size_t>(rank)) = std::move(contributions);
-  c.continuations.at(static_cast<std::size_t>(rank)) =
-      [this, key, rank, cb = std::move(cb)]() {
-        // Column `rank` of the contribution matrix.
-        Collective& cc = collectives_[key];
-        std::vector<std::any> column;
-        column.reserve(cc.matrix.size());
-        for (const auto& row : cc.matrix) {
-          column.push_back(static_cast<std::size_t>(rank) < row.size()
-                               ? row[static_cast<std::size_t>(rank)]
-                               : std::any{});
-        }
-        cb(std::move(column));
-      };
-  if (++c.arrived < size()) return;
-  ++alltoall_seq_;
-  finish_collective(
-      key,
-      bytes_per_pair * static_cast<std::uint64_t>(size()) *
-          static_cast<std::uint64_t>(size()),
-      [this, key](int r) {
-        auto& cont =
-            collectives_[key].continuations.at(static_cast<std::size_t>(r));
-        if (cont) cont();
-      });
+  const auto n = static_cast<std::uint64_t>(size());
+  arrive(kAlltoall, rank, bytes_per_pair * n * n,
+         [rank, cb = std::move(cb)](const Collective& done) {
+           // Column `rank` of the contribution matrix.
+           const auto r = static_cast<std::size_t>(rank);
+           std::vector<std::any> column;
+           column.reserve(done.matrix.size());
+           for (const auto& row : done.matrix)
+             column.push_back(r < row.size() ? row[r] : std::any{});
+           cb(std::move(column));
+         });
 }
 
 void Communicator::sendrecv(int rank, int dst, int send_tag,

@@ -15,37 +15,19 @@
 #pragma once
 
 #include <any>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "des/check_hook.hpp"
 #include "meta/metacomputer.hpp"
 
 namespace gtw::meta {
-
-// GTW-San observer (check::attach_communicator): notified at the outcome
-// decision of every watchdog-guarded WAN delivery and at every unreachable
-// report, so the sanitizer can prove the retry policy's contract — a
-// message reported unreachable is never afterwards handed to the
-// application.  Notification-only; must not call back into the
-// communicator.  The interface and registration slot exist in every build;
-// the notifying call sites are GTW_CHECK_HOOK-guarded and compile away
-// when checking is off.
-struct CommCheckObserver {
-  virtual ~CommCheckObserver() = default;
-  // A WAN copy arrived.  Exactly one of the three describes its fate:
-  // handed to the application, suppressed as a duplicate of an earlier
-  // delivery, or dropped because the message was already abandoned.
-  virtual void on_wan_outcome(int src_rank, int dst_rank,
-                              bool delivered_to_app, bool after_abandon,
-                              bool duplicate) = 0;
-  virtual void on_unreachable(int src_rank, int dst_rank) = 0;
-};
 
 // Process location: which machine, which processing element on it.
 struct ProcLoc {
@@ -170,7 +152,14 @@ class Communicator {
       std::function<void(int src_rank, int dst_rank, int attempts)>;
   void on_unreachable(UnreachableCallback cb) { unreachable_ = std::move(cb); }
 
+  // The ledger of watchdog-guarded WAN messages (check::attach_communicator
+  // holds it to its laws in every build).  Every arriving copy is exactly
+  // one of delivered, suppressed or dropped; every guarded message ends
+  // delivered or reported unreachable, never both.
   struct ReliabilityStats {
+    std::uint64_t wan_guarded = 0;           // messages sent under the policy
+    std::uint64_t wan_copies = 0;            // copies that arrived
+    std::uint64_t wan_delivered = 0;         // copies handed to the application
     std::uint64_t wan_retries = 0;           // watchdog-triggered resends
     std::uint64_t duplicates_suppressed = 0; // late originals after a retry
     std::uint64_t unreachable_reports = 0;   // messages given up on
@@ -179,8 +168,6 @@ class Communicator {
     std::uint64_t dropped_after_unreachable = 0;
   };
   const ReliabilityStats& reliability() const { return reliability_; }
-
-  void set_check_observer(CommCheckObserver* obs) { check_observer_ = obs; }
 
  private:
   struct PostedRecv {
@@ -192,16 +179,24 @@ class Communicator {
     std::deque<PostedRecv> recvs;
     std::deque<Message> unexpected;
   };
+  // One round of a collective: every rank's completion plus the payload
+  // slots its kind fills.  Rounds of one kind are numbered in entry order.
+  enum CollKind : std::uint8_t {
+    kBarrier, kBroadcast, kAllreduce, kGather, kScatter, kAlltoall, kCollKinds
+  };
+  struct Collective;
+  using Completion = std::function<void(const Collective&)>;
   struct Collective {
     int arrived = 0;
-    std::vector<Callback> continuations;       // per rank, completion actions
+    int root = 0;
+    ReduceOp op = ReduceOp::kSum;
+    std::vector<Completion> continuations;     // per rank
     std::vector<std::vector<double>> contribs; // allreduce
-    std::vector<std::any> gathered;            // gather / scatter slices
+    std::vector<std::any> slots;               // gather / scatter
     std::vector<std::vector<std::any>> matrix; // alltoall
     std::any bcast_data;
-    std::uint64_t bytes = 0;
-    int root = 0;
   };
+  using CollKey = std::pair<CollKind, std::uint64_t>;
 
   // In-flight state of one watchdog-guarded WAN message.
   struct WanSendState {
@@ -227,9 +222,15 @@ class Communicator {
   void deliver(int dst_rank, Message msg);
   void wan_attempt(std::shared_ptr<WanSendState> st);
   bool matches(const PostedRecv& r, const Message& m) const;
-  // Staged completion of a collective that moves `wan_bytes` per WAN hop.
-  void finish_collective(std::uint64_t key, std::uint64_t wan_bytes,
-                         std::function<void(int rank)> per_rank);
+  // The open round of `kind`.
+  Collective& open_round(CollKind kind);
+  // `rank` enters the open round of `kind`; the last rank to enter closes it
+  // and stages an exchange that moves `wan_bytes` per WAN hop.
+  void arrive(CollKind kind, int rank, std::uint64_t wan_bytes,
+              Completion done);
+  // Staged completion: intra tree, WAN leader exchange, intra tree, then
+  // every rank's completion in rank order.
+  void finish_collective(CollKey key, std::uint64_t wan_bytes);
   des::SimTime intra_tree_cost(std::uint64_t bytes) const;
   // Machines participating, and the designated leader rank per machine.
   std::vector<int> machines_involved() const;
@@ -237,16 +238,14 @@ class Communicator {
   Metacomputer* mc_;
   std::vector<ProcLoc> ranks_;
   std::vector<RankState> states_;
-  std::map<std::uint64_t, Collective> collectives_;
-  std::uint64_t barrier_seq_ = 0, bcast_seq_ = 0, reduce_seq_ = 0,
-                gather_seq_ = 0, scatter_seq_ = 0, alltoall_seq_ = 0;
+  std::map<CollKey, Collective> collectives_;
+  std::array<std::uint64_t, kCollKinds> round_seq_{};
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   RetryPolicy retry_;
   bool retry_enabled_ = false;
   UnreachableCallback unreachable_;
   ReliabilityStats reliability_;
-  CommCheckObserver* check_observer_ = nullptr;
 };
 
 }  // namespace gtw::meta

@@ -74,6 +74,7 @@ void PathTransport::send(int side, units::Bytes amount,
     // Single plain connection: hand the whole message straight to TCP so
     // the event sequence matches a bare TcpConnection exactly.
     ++st.chunks;
+    ++st.chunks_created;
     streams_[0].stats[side].chunks += 1;
     streams_[0].stats[side].bytes += amount.count();
     std::uint64_t span = 0;
@@ -88,14 +89,9 @@ void PathTransport::send(int side, units::Bytes amount,
         [this, side, amount, span, ctx, minted,
          cb = std::move(on_delivered)](const std::any&, des::SimTime) {
           Stats& sst = stats_[side];
+          ++sst.chunks_landed;
           ++sst.delivered_messages;
           sst.delivered_bytes += amount.count();
-          // Passthrough has no striping sequence; deliveries are TCP-ordered
-          // by construction, so the delivery count doubles as the msg seq.
-          GTW_CHECK_HOOK(if (check_observer_ != nullptr)
-                             check_observer_->on_message(
-                                 side, sst.delivered_messages - 1,
-                                 amount.count()));
           if (des::SpanHook* h2 = sched_.span_hook(); h2 != nullptr) {
             h2->end_span(span, sched_.now());
             if (cb) cb();
@@ -127,6 +123,7 @@ void PathTransport::send(int side, units::Bytes amount,
     msg.chunks.push_back(Chunk{units::Bytes{take}, false});
     remaining -= take;
   } while (remaining > 0);
+  st.chunks_created += msg.chunks.size();
 
   for (std::uint32_t i = 0; i < msg.chunks.size(); ++i) {
     if (h != nullptr && msg.ctx.valid())
@@ -230,15 +227,12 @@ void PathTransport::on_chunk_delivered(int stream, int side, ChunkRef ref) {
   if (mit == messages_[side].end() ||
       mit->second.chunks[ref.idx].delivered) {
     ++st.duplicate_chunks;
-    GTW_CHECK_HOOK(if (check_observer_ != nullptr) check_observer_->on_chunk(
-        side, ref.msg_seq, ref.idx, /*duplicate=*/true));
     return;
   }
   Chunk& chunk = mit->second.chunks[ref.idx];
   chunk.delivered = true;
   ++mit->second.chunks_done;
-  GTW_CHECK_HOOK(if (check_observer_ != nullptr) check_observer_->on_chunk(
-      side, ref.msg_seq, ref.idx, /*duplicate=*/false));
+  ++st.chunks_landed;
   if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
     h->end_span(chunk.span, sched_.now());
     chunk.span = 0;
@@ -280,8 +274,6 @@ void PathTransport::deliver_ready(int side) {
     st.reassembly_bytes -= msg.bytes.count();
     ++st.delivered_messages;
     st.delivered_bytes += msg.bytes.count();
-    GTW_CHECK_HOOK(if (check_observer_ != nullptr) check_observer_->on_message(
-        side, next_deliver_seq_[side] - 1, msg.bytes.count()));
     des::SpanHook* h = sched_.span_hook();
     des::TraceContext prev;
     if (h != nullptr) {

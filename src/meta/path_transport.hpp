@@ -37,28 +37,12 @@
 #include <memory>
 #include <vector>
 
-#include "des/check_hook.hpp"
 #include "des/scheduler.hpp"
 #include "net/host.hpp"
 #include "net/tcp.hpp"
 #include "units/units.hpp"
 
 namespace gtw::meta {
-
-// GTW-San observer (check::attach_path_transport): notified at every chunk
-// arrival and every in-order message hand-off to the application, so the
-// sanitizer can prove the exactly-once / strict-send-order delivery
-// contract instead of trusting the reassembly bookkeeping it is checking.
-// Notification-only: implementations must not call back into the path.
-// Declared in every build; the notifying call sites are GTW_CHECK_HOOK-
-// guarded and compile away when checking is off.
-struct PathCheckObserver {
-  virtual ~PathCheckObserver() = default;
-  virtual void on_chunk(int side, std::uint64_t msg_seq, std::uint32_t idx,
-                        bool duplicate) = 0;
-  virtual void on_message(int side, std::uint64_t msg_seq,
-                          std::uint64_t bytes) = 0;
-};
 
 // Per-path transport configuration.  `streams` is the connection pool size
 // (connections are opened once and reused); the controller varies the
@@ -115,10 +99,14 @@ class PathTransport {
   void send(int side, units::Bytes amount, DeliveredCallback on_delivered);
 
   // --- accounting (per sending side) ---------------------------------------
+  // Also the chunk ledger check::attach_path_transport holds to its laws:
+  // a chunk lands once, and a duplicate arrival needs a re-issue.
   struct Stats {
     std::uint64_t messages = 0;
     std::uint64_t bytes = 0;
-    std::uint64_t chunks = 0;
+    std::uint64_t chunks = 0;              // handed to a stream's TCP
+    std::uint64_t chunks_created = 0;      // striped from sent messages
+    std::uint64_t chunks_landed = 0;       // first arrivals
     std::uint64_t chunk_resends = 0;       // re-issued after a stream reset
     std::uint64_t duplicate_chunks = 0;    // arrived for an already-done chunk
     std::uint64_t stream_resets = 0;
@@ -152,8 +140,6 @@ class PathTransport {
   std::size_t inflight_messages(int side) const {
     return messages_[side].size();
   }
-
-  void set_check_observer(PathCheckObserver* obs) { check_observer_ = obs; }
 
   int stream_count() const { return static_cast<int>(streams_.size()); }
   int active_streams() const { return active_streams_; }
@@ -255,7 +241,6 @@ class PathTransport {
   int clean_intervals_ = 0;
   units::BitRate goodput_[2] = {units::BitRate::bps(0.0),
                                 units::BitRate::bps(0.0)};
-  PathCheckObserver* check_observer_ = nullptr;
 };
 
 }  // namespace gtw::meta

@@ -99,11 +99,7 @@ des::TraceContext SpanTracer::mint(const char* origin, des::SimTime now) {
   traces_.push_back(
       Trace{spans_.size(), 1, name, kNoName, TraceStatus::kOpen});
   ++open_traces_;
-
-  // The minting event now runs under the new trace, so everything it
-  // schedules inherits the context.
-  current_ = des::TraceContext{trace_id, spans_.size()};
-  return current_;
+  return des::TraceContext{trace_id, spans_.size()};
 }
 
 des::TraceContext SpanTracer::current() const { return current_; }

@@ -5,16 +5,18 @@
 // Three layers, matching the check:: architecture:
 //   - Monitor mechanics (ring buffer, cap, report, drain-vs-quiescent);
 //   - the pure invariant verdicts of invariants.hpp on hand-built broken
-//     ledgers (build-mode independent);
-//   - the hook-driven checkers (SchedulerChecker, CommChecker, PathChecker)
-//     driven directly through their observer interfaces, plus end-to-end
-//     scenarios against the real scheduler/pool where the notification
-//     call sites exist (GTW_CHECK builds).
+//     ledgers, the WAN retry and path chunk ledgers of meta included
+//     (build-mode independent);
+//   - the hook-driven SchedulerChecker driven directly through its hook
+//     interface, plus end-to-end scenarios against the real scheduler,
+//     pool and path transport (the scheduler's notification call sites
+//     exist only in GTW_CHECK builds).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "check/attach.hpp"
 #include "check/invariants.hpp"
@@ -22,6 +24,10 @@
 #include "des/pool.hpp"
 #include "des/scheduler.hpp"
 #include "des/time.hpp"
+#include "meta/path_transport.hpp"
+#include "net/atm.hpp"
+#include "net/fault.hpp"
+#include "net/host.hpp"
 #include "net/link.hpp"
 #include "net/units.hpp"
 
@@ -226,12 +232,27 @@ TEST(InvariantTest, FlowStageSanityFlagsImpossibleLedger) {
 }
 
 TEST(InvariantTest, WanOutcomeMustBeExactlyOne) {
-  WanOutcome o;
-  EXPECT_TRUE(wan_outcome_sane(o).has_value());  // none set
-  o.delivered_to_app = true;
-  EXPECT_FALSE(wan_outcome_sane(o).has_value());
-  o.after_abandon = true;  // delivered after the watchdog gave up
-  EXPECT_TRUE(wan_outcome_sane(o).has_value());
+  WanAccounts a;
+  a.guarded = 1;
+  a.copies = 1;  // a copy that arrived and met no fate
+  EXPECT_TRUE(wan_outcomes(a).has_value());
+  a.delivered = 1;
+  EXPECT_FALSE(wan_outcomes(a).has_value());
+  a.dropped_after_unreachable = 1;  // the same copy counted twice
+  EXPECT_TRUE(wan_outcomes(a).has_value());
+}
+
+// A guarded message still unresolved at drain: neither delivered nor
+// reported unreachable, so the application waits forever.
+TEST(InvariantTest, WanVerdictMissingAtDrainIsAHang) {
+  WanAccounts a;
+  a.guarded = 2;
+  a.copies = 1;
+  a.delivered = 1;
+  EXPECT_FALSE(wan_verdicts(a, /*drained=*/false).has_value());
+  EXPECT_TRUE(wan_verdicts(a, /*drained=*/true).has_value());
+  a.unreachable_reports = 1;
+  EXPECT_FALSE(wan_verdicts(a, /*drained=*/true).has_value());
 }
 
 // --- SchedulerChecker, driven through the hook interface --------------------
@@ -273,55 +294,99 @@ TEST(SchedulerCheckerTest, CancelOutcomesClassified) {
   EXPECT_EQ(mon.violations()[0].checker, "des.sched.double-cancel");
 }
 
-// --- CommChecker / PathChecker, driven through the observer interfaces ------
+// --- the meta ledgers on broken counts ---------------------------------------
 
+// A copy handed to the application after its message was reported
+// unreachable: the message gets two verdicts.
 TEST(CommCheckerTest, ContradictoryOutcomeFlagged) {
-  des::Scheduler sched;
-  Monitor mon(sched);
-  CommChecker checker(mon, "meta.fixture");
-  checker.on_wan_outcome(0, 1, true, false, false);  // clean delivery
-  checker.on_wan_outcome(1, 0, false, true, false);  // clean abandon-drop
-  EXPECT_TRUE(mon.clean());
-  checker.on_wan_outcome(0, 1, true, true, false);  // delivered after abandon
-  ASSERT_EQ(mon.total_violations(), 1u);
-  EXPECT_EQ(mon.violations()[0].checker, "meta.fixture.wan-outcome");
+  WanAccounts a;
+  a.guarded = 2;
+  a.copies = 2;
+  a.delivered = 1;                  // clean delivery
+  a.dropped_after_unreachable = 1;  // clean abandon-drop
+  a.unreachable_reports = 1;
+  EXPECT_FALSE(wan_outcomes(a).has_value());
+  EXPECT_FALSE(wan_verdicts(a, /*drained=*/true).has_value());
+  a.copies = 3;
+  a.delivered = 2;  // delivered after abandon
+  EXPECT_FALSE(wan_outcomes(a).has_value());  // every copy has one fate...
+  EXPECT_TRUE(wan_verdicts(a, /*drained=*/false).has_value());  // ...but not
 }
 
 TEST(PathCheckerTest, ChunkDeliveredTwiceFlagged) {
-  des::Scheduler sched;
-  Monitor mon(sched);
-  PathChecker checker(mon, "meta.path.fixture");
-  checker.on_chunk(0, 0, 0, /*duplicate=*/false);
-  checker.on_chunk(0, 0, 1, /*duplicate=*/false);
-  checker.on_chunk(0, 0, 1, /*duplicate=*/true);  // suppressed resend: fine
-  EXPECT_TRUE(mon.clean());
-  checker.on_chunk(0, 0, 0, /*duplicate=*/false);  // same chunk, unsuppressed
-  ASSERT_EQ(mon.total_violations(), 1u);
-  EXPECT_EQ(mon.violations()[0].checker, "meta.path.fixture.chunk-twice");
+  PathAccounts a;
+  a.chunks_created = 2;
+  a.chunks_landed = 2;
+  a.chunk_resends = 1;
+  a.duplicate_chunks = 1;  // suppressed resend: fine
+  EXPECT_FALSE(path_landings(a, /*drained=*/true).has_value());
+  EXPECT_FALSE(path_duplicates(a).has_value());
+  a.chunks_landed = 3;  // a chunk landed twice, unsuppressed
+  EXPECT_TRUE(path_landings(a, /*drained=*/false).has_value());
+  a.chunks_landed = 1;  // fine while in flight, stranded at drain
+  EXPECT_FALSE(path_landings(a, /*drained=*/false).has_value());
+  EXPECT_TRUE(path_landings(a, /*drained=*/true).has_value());
 }
 
 TEST(PathCheckerTest, PhantomDuplicateFlagged) {
-  des::Scheduler sched;
-  Monitor mon(sched);
-  PathChecker checker(mon, "meta.path.fixture");
-  // Transport claims duplicate-suppression for a chunk that never arrived.
-  checker.on_chunk(1, 5, 2, /*duplicate=*/true);
-  ASSERT_EQ(mon.total_violations(), 1u);
-  EXPECT_EQ(mon.violations()[0].checker, "meta.path.fixture.chunk-dup");
+  PathAccounts a;
+  a.chunks_created = 4;
+  a.chunks_landed = 4;
+  // Transport claims duplicate suppression with no re-issue to explain it.
+  a.duplicate_chunks = 1;
+  EXPECT_TRUE(path_duplicates(a).has_value());
+  a.chunk_resends = 1;
+  EXPECT_FALSE(path_duplicates(a).has_value());
 }
 
+// Strict send order, end to end: numbered messages over a four-stream
+// path, with an outage that stalls every stream mid-transfer so the chunk
+// watchdog resets them and re-issues their chunks on fresh connections.
+// Later, smaller messages complete first; each must still wait for its
+// predecessors, and the path's ledgers must stay clean throughout.
 TEST(PathCheckerTest, OutOfOrderMessageFlaggedOnceThenResyncs) {
   des::Scheduler sched;
+  const net::Link::Config wan{units::BitRate::mbps(622.0),
+                              des::SimTime::microseconds(250),
+                              units::Bytes{16u << 20}, des::SimTime::zero()};
+  net::Host a{sched, "fe_a", 1};
+  net::Host b{sched, "fe_b", 2};
+  net::AtmSwitch sw{sched, "sw"};
+  net::AtmNic nic_a{sched, a, "a.atm", wan};
+  net::AtmNic nic_b{sched, b, "b.atm", wan};
+  const int pa = sw.add_port(wan);
+  const int pb = sw.add_port(wan);
+  nic_a.uplink().set_sink(sw.ingress(pa));
+  nic_b.uplink().set_sink(sw.ingress(pb));
+  sw.connect_egress(pa, nic_a.ingress());
+  sw.connect_egress(pb, nic_b.ingress());
+  net::VcAllocator vcs;
+  vcs.provision(nic_a, nic_b, {{&sw, pa, pb}});
+  a.add_route(2, &nic_a, 2);
+  b.add_route(1, &nic_b, 1);
+  net::FaultPlan plan(sched);
+  plan.link_down(sw.egress_link(pb), des::SimTime::milliseconds(20),
+                 des::SimTime::milliseconds(500));
+
+  meta::PathConfig cfg;
+  cfg.streams = 4;
+  cfg.chunk_bytes = units::Bytes{64u << 10};
+  cfg.chunk_timeout = des::SimTime::milliseconds(250);
+  meta::PathTransport path(sched, a, b, 7000, cfg);
   Monitor mon(sched);
-  PathChecker checker(mon, "meta.path.fixture");
-  checker.on_message(0, 0, 1024);
-  checker.on_message(0, 1, 1024);
-  EXPECT_TRUE(mon.clean());
-  checker.on_message(0, 3, 1024);  // message 2 overtaken
-  EXPECT_EQ(mon.total_violations(), 1u);
-  EXPECT_EQ(mon.violations()[0].checker, "meta.path.fixture.order");
-  checker.on_message(0, 4, 1024);  // resynced: one break reports once
-  EXPECT_EQ(mon.total_violations(), 1u);
+  attach_path_transport(mon, path, "fixture");
+
+  std::vector<int> order;
+  for (int i = 0; i < 10; ++i) {
+    const units::Bytes size{i % 2 == 0 ? (1u << 20) : 1024u};
+    path.send(0, size, [&order, i] { order.push_back(i); });
+  }
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_GE(path.stats(0).stream_resets, 1u);
+  EXPECT_GE(path.stats(0).chunk_resends, 1u);
+  EXPECT_GT(path.stats(0).reassembly_peak_bytes, 0u);
+  EXPECT_EQ(mon.finish(), 0u) << mon.report();
 }
 
 // --- pool census ------------------------------------------------------------

@@ -172,11 +172,13 @@ TEST(FlowIntegrationTest, FrameStreamerMetersRenderAndUplink) {
             (std::vector<std::string>{"flow/render", "flow/uplink"}));
   EXPECT_EQ(compute_spans(f, "flow/render"), 10);
   EXPECT_EQ(compute_spans(f, "flow/uplink"), 10);
-  // One TCP message per frame leaves the uplink.  Frames pushed in one
-  // burst share a trace, so each message but the last is followed there by
-  // the next frame's render span; the last has no receiving track.
+  // The ten frames are pushed in one burst outside any event, and each is
+  // a trace of its own.  One TCP message per frame leaves the uplink and
+  // ends its frame's trace, so no compute span receives it.
+  EXPECT_EQ(f.traces.size(), 10u);
   EXPECT_EQ(v.messages[0][0] + v.messages[0][1], 0u);
-  EXPECT_EQ(v.messages[1][0] + v.messages[1][1] + v.unmatched, 10u);
+  EXPECT_EQ(v.messages[1][0] + v.messages[1][1], 0u);
+  EXPECT_EQ(v.unmatched, 10u);
 }
 
 TEST(FlowIntegrationTest, VideoSessionCountsFramesThroughTheGraph) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <any>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -334,6 +335,30 @@ TEST(FlowGraphTest, DegradedModeForcesNewestWinsAndTimesRecovery) {
   EXPECT_EQ(m.pushed, done.size() + m.admission_dropped);
   EXPECT_FALSE(g.degraded());
   EXPECT_EQ(g.in_flight(), 0);
+}
+
+// Each tick is a workload origin: minting an item's trace must not leave it
+// current, or the re-armed tick (scheduled from inside the push) and every
+// later item would join the first item's trace.
+TEST(PeriodicSourceTest, EveryItemStartsItsOwnTrace) {
+  obs::SpanTracer spans;
+  Scheduler sched;
+  sched.set_span_hook(&spans);
+  flow::StageGraph g(sched);
+  g.add_stage(flow::compute_stage("work", [](const flow::Item&) {
+    return sec(0.1);
+  }));
+  flow::PeriodicSource src(g, {sec(1.0), 5, /*immediate_first=*/false});
+  src.start();
+  sched.run();
+  sched.set_span_hook(nullptr);
+  ASSERT_EQ(spans.traces().size(), 5u);
+  for (const obs::SpanTracer::Trace& t : spans.traces())
+    EXPECT_EQ(t.status, obs::SpanTracer::TraceStatus::kClosed);
+  std::vector<std::uint64_t> compute_traces;
+  for (const obs::SpanTracer::Span& s : spans.spans())
+    if (s.phase == des::SpanPhase::kCompute) compute_traces.push_back(s.trace);
+  EXPECT_EQ(compute_traces, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
 }
 
 TEST(PeriodicSourceTest, StopCancelsFurtherTicks) {

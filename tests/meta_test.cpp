@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <any>
 #include <memory>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "net/atm.hpp"
 #include "net/host.hpp"
 #include "net/units.hpp"
+#include "obs/span.hpp"
 
 namespace gtw::meta {
 namespace {
@@ -245,6 +247,112 @@ TEST(CommunicatorTest, GatherCollectsAllContributions) {
   }
   f.sched.run();
   EXPECT_TRUE(done);
+}
+
+// Two rounds of every collective kind entered back to back by every rank of
+// a two-machine communicator: rounds of one kind are numbered apart, rounds
+// of different kinds never mix, and the gathers start while the first
+// barrier's WAN exchange is still in flight.
+TEST(CommunicatorTest, BackToBackCollectivesOfEveryKind) {
+  MetaFixture f;
+  auto comm = f.world(2, 2);
+  const int n = comm->size();
+  int barriers = 0, barriers_at_first_gather = -1;
+  std::vector<int> bcast, scattered;
+  std::vector<double> reduced;
+  std::vector<std::vector<int>> gathered, columns;
+  auto ints = [](const std::vector<std::any>& v) {
+    std::vector<int> out;
+    for (const std::any& a : v) out.push_back(std::any_cast<int>(a));
+    return out;
+  };
+  f.sched.schedule_at(des::SimTime::zero(), [&] {
+    for (int k = 0; k < 2; ++k)
+      for (int r = 0; r < n; ++r) comm->barrier(r, [&] { ++barriers; });
+    for (int k = 0; k < 2; ++k)
+      for (int r = 0; r < n; ++r)
+        comm->broadcast(r, /*root=*/1, 64,
+                        [&](const std::any& d) {
+                          bcast.push_back(std::any_cast<int>(d));
+                        },
+                        r == 1 ? std::any{100 + k} : std::any{});
+    for (int k = 0; k < 2; ++k)
+      for (int r = 0; r < n; ++r)
+        comm->allreduce(r, {static_cast<double>(r + 10 * k)}, ReduceOp::kSum,
+                        [&](std::vector<double> v) {
+                          reduced.push_back(v.at(0));
+                        });
+    barriers_at_first_gather = barriers;
+    for (int k = 0; k < 2; ++k)
+      for (int r = 0; r < n; ++r)
+        comm->gather(r, 16, std::any{r * 10 + k}, /*root=*/2,
+                     [&](std::vector<std::any> all) {
+                       gathered.push_back(ints(all));
+                     });
+    for (int k = 0; k < 2; ++k)
+      for (int r = 0; r < n; ++r) {
+        std::vector<std::any> slices;
+        if (r == 3)
+          for (int d = 0; d < n; ++d) slices.push_back(std::any{100 * k + d});
+        comm->scatter(r, /*root=*/3, 16,
+                      [&](const std::any& s) {
+                        scattered.push_back(std::any_cast<int>(s));
+                      },
+                      std::move(slices));
+      }
+    for (int k = 0; k < 2; ++k)
+      for (int r = 0; r < n; ++r) {
+        std::vector<std::any> row;
+        for (int c = 0; c < n; ++c)
+          row.push_back(std::any{1000 * k + 10 * r + c});
+        comm->alltoall(r, 16, std::move(row),
+                       [&](std::vector<std::any> col) {
+                         columns.push_back(ints(col));
+                       });
+      }
+  });
+  f.sched.run();
+
+  EXPECT_EQ(barriers_at_first_gather, 0);  // both barrier rounds in flight
+  EXPECT_EQ(barriers, 2 * n);
+  EXPECT_EQ(bcast, (std::vector<int>{100, 100, 100, 100, 101, 101, 101, 101}));
+  EXPECT_EQ(reduced,
+            (std::vector<double>{6, 6, 6, 6, 46, 46, 46, 46}));  // 0+1+2+3
+  // Only the root's gather callback fires, once per round.
+  EXPECT_EQ(gathered, (std::vector<std::vector<int>>{{0, 10, 20, 30},
+                                                     {1, 11, 21, 31}}));
+  EXPECT_EQ(scattered, (std::vector<int>{0, 1, 2, 3, 100, 101, 102, 103}));
+  // Rank r receives column r of its round's matrix, in rank order.
+  ASSERT_EQ(columns.size(), static_cast<std::size_t>(2 * n));
+  for (int k = 0; k < 2; ++k)
+    for (int r = 0; r < n; ++r)
+      EXPECT_EQ(columns[static_cast<std::size_t>(k * n + r)],
+                (std::vector<int>{1000 * k + r, 1000 * k + 10 + r,
+                                  1000 * k + 20 + r, 1000 * k + 30 + r}))
+          << "round " << k << " rank " << r;
+}
+
+// Each untraced WAN send is a workload origin of its own: the trace one
+// send mints must not stay current for the next send of the same event.
+TEST(CommunicatorTest, UntracedSendsEachMintTheirOwnTrace) {
+  obs::SpanTracer spans;  // outlives the fixture's transports
+  MetaFixture f;
+  f.sched.set_span_hook(&spans);
+  auto comm = f.world(1, 1);
+  int received = 0;
+  for (int i = 0; i < 3; ++i)
+    comm->recv(1, 0, i, [&](const Message&) { ++received; });
+  f.sched.schedule_at(des::SimTime::zero(), [&] {
+    for (int i = 0; i < 3; ++i) comm->send(0, 1, i, 10'000);
+  });
+  f.sched.run();
+  f.sched.set_span_hook(nullptr);
+  EXPECT_EQ(received, 3);
+  ASSERT_EQ(spans.traces().size(), 3u);
+  for (const obs::SpanTracer::Trace& t : spans.traces()) {
+    EXPECT_EQ(spans.origin(t), "comm.wan");
+    EXPECT_EQ(t.status, obs::SpanTracer::TraceStatus::kClosed);
+  }
 }
 
 TEST(CommunicatorTest, SpawnCreatesIntercomm) {

@@ -358,7 +358,9 @@ TEST(CommunicatorRetryTest, RetriesThroughOutageAndSuppressesDuplicate) {
 
   Communicator comm(f.mc, {{f.ma, 0}, {f.mb, 0}});
   comm.set_retry_policy({ms(150), /*max_retries=*/3, /*backoff=*/2.0});
-  // GTW-San: every arriving copy is exactly one of delivered / duplicate.
+  // GTW-San, in every build: every arriving copy is exactly one of
+  // delivered / duplicate (.wan-outcome), and the message gets exactly one
+  // verdict by drain (.verdict).
   check::Monitor mon(f.sched);
   check::attach_communicator(mon, comm, "retry");
 
@@ -378,6 +380,10 @@ TEST(CommunicatorRetryTest, RetriesThroughOutageAndSuppressesDuplicate) {
   // the link heals and must be recognised as a duplicate.
   EXPECT_GE(comm.reliability().duplicates_suppressed, 1u);
   EXPECT_EQ(comm.reliability().unreachable_reports, 0u);
+  EXPECT_EQ(comm.reliability().wan_guarded, 1u);
+  EXPECT_EQ(comm.reliability().wan_delivered, 1u);
+  EXPECT_EQ(comm.reliability().wan_copies,
+            1u + comm.reliability().duplicates_suppressed);
 }
 
 TEST(CommunicatorRetryTest, ReportsUnreachableWhenOutageOutlastsRetries) {
@@ -388,7 +394,8 @@ TEST(CommunicatorRetryTest, ReportsUnreachableWhenOutageOutlastsRetries) {
 
   Communicator comm(f.mc, {{f.ma, 0}, {f.mb, 0}});
   comm.set_retry_policy({ms(50), /*max_retries=*/2, /*backoff=*/2.0});
-  // GTW-San: no late copy reaches the application after the report.
+  // GTW-San, in every build: no late copy reaches the application after
+  // the report (.verdict), and each is counted dropped (.wan-outcome).
   check::Monitor mon(f.sched);
   check::attach_communicator(mon, comm, "retry");
 
@@ -416,6 +423,30 @@ TEST(CommunicatorRetryTest, ReportsUnreachableWhenOutageOutlastsRetries) {
   EXPECT_EQ(received, 0);
   EXPECT_EQ(comm.reliability().duplicates_suppressed, 0u);
   EXPECT_EQ(comm.reliability().dropped_after_unreachable, 3u);
+  EXPECT_EQ(comm.reliability().wan_copies, 3u);
+  EXPECT_EQ(comm.reliability().wan_delivered, 0u);
+}
+
+// The drain half of .verdict: a guarded message with neither a delivery
+// nor an unreachable report when the run stops is a hang, and finish()
+// names it.  Letting the run drain resolves it and the ledger balances.
+TEST(CommunicatorRetryTest, UnresolvedMessageIsAHangAtDrain) {
+  RetryFixture f;
+  Communicator comm(f.mc, {{f.ma, 0}, {f.mb, 0}});
+  comm.set_retry_policy({ms(150), /*max_retries=*/3, /*backoff=*/2.0});
+  check::Monitor mon(f.sched);
+  check::attach_communicator(mon, comm, "retry");
+  comm.recv(1, 0, 7, [](const Message&) {});
+  comm.send(0, 1, 7, 100'000);
+  f.sched.run(des::SimTime::microseconds(100));  // still on the wire
+  EXPECT_EQ(mon.check_now(), 0u);  // unresolved is fine while in flight
+  EXPECT_EQ(mon.finish(), 1u);
+  EXPECT_EQ(mon.violations()[0].checker, "meta.retry.verdict");
+
+  f.sched.run();
+  check::Monitor after(f.sched);
+  check::attach_communicator(after, comm, "retry");
+  EXPECT_EQ(after.finish(), 0u) << after.report();
 }
 
 TEST(CommunicatorRetryTest, BackoffClampedByMaxTimeout) {

@@ -114,10 +114,12 @@ struct TracedPath {
     b.bind(net::IpProto::kUdp, kPort,
            [this](const net::IpPacket&) { ++received; });
     sched.set_span_hook(&tracer);
-    // The stream's first send mints the trace; every later send is
-    // scheduled by the one before and inherits it through the scheduler.
+    // The stream's first send mints the trace and adopts it; every later
+    // send is scheduled by the one before and inherits it through the
+    // scheduler.
     sched.schedule_at(SimTime::zero(), des::Action::inline_only([this] {
                         ctx = tracer.mint("udp.stream", sched.now());
+                        tracer.adopt(ctx);
                         send_next();
                       }));
   }
@@ -207,6 +209,7 @@ TEST(SpanStoreAllocTest, TimerChurnKeepsPendingTableAtLiveSize) {
   des::TraceContext ctx;
   sched.schedule_at(SimTime::zero(), des::Action::inline_only([&] {
                       ctx = tracer.mint("tcp.rto_churn", sched.now());
+                      tracer.adopt(ctx);
                       clock.ack();
                     }));
   while (clock.acks < 1000 && sched.step()) {

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Structural validator for the Chrome trace-event JSON the obs exporters
-emit (and chrome://tracing / Perfetto load).
+"""Structural validator for the Chrome trace-event JSON that
+gtw-trace --chrome (obs::write_spans_chrome) emits and chrome://tracing /
+Perfetto load.
 
 Checks, per file:
   - the file parses as JSON: an object with a "traceEvents" array
-  - every event is an object with a known "ph" and integer "pid"
-  - duration events ("B"/"E") carry name/tid/ts and balance per (tid, name)
-  - flow arrows ("s"/"f") carry id/tid/ts and every finish has a start
-  - instant events ("i") carry a valid scope, counters ("C") a numeric value
+  - every event is an object with an integer "pid" and a "ph" the exporter
+    emits: "M" metadata, "X" complete events, "s"/"f" flow arrows; any
+    other phase is rejected as unknown
+  - complete events carry name/tid/ts and a non-negative dur
+  - flow arrows carry id/tid/ts and every finish has a start
   - every "ts" is a non-negative JSON number
 
 Files named *.spans.json are validated as causal-span artifacts instead
@@ -29,7 +31,7 @@ import json
 import numbers
 import sys
 
-KNOWN_PHASES = {"M", "B", "E", "X", "s", "f", "i", "C"}
+KNOWN_PHASES = {"M", "X", "s", "f"}
 
 
 def check_event(ev: object, idx: int, errors: list[str]) -> dict | None:
@@ -51,10 +53,9 @@ def check_event(ev: object, idx: int, errors: list[str]) -> dict | None:
         if not isinstance(ts, numbers.Real) or isinstance(ts, bool) or ts < 0:
             err(f"ph {ph}: ts must be a non-negative number, got {ts!r}")
 
-    if ph in ("M", "B", "E", "X", "i", "C") \
-            and not isinstance(ev.get("name"), str):
+    if ph in ("M", "X") and not isinstance(ev.get("name"), str):
         err(f"ph {ph}: missing string name")
-    if ph in ("B", "E", "X", "s", "f") and not isinstance(ev.get("tid"), int):
+    if ph in ("X", "s", "f") and not isinstance(ev.get("tid"), int):
         err(f"ph {ph}: missing integer tid")
     if ph == "X":
         dur = ev.get("dur")
@@ -64,14 +65,6 @@ def check_event(ev: object, idx: int, errors: list[str]) -> dict | None:
                 f"got {dur!r}")
     if ph in ("s", "f") and not isinstance(ev.get("id"), int):
         err(f"ph {ph}: missing integer flow id")
-    if ph == "i" and ev.get("s") not in ("g", "p", "t"):
-        err(f"instant event: scope {ev.get('s')!r} not one of g/p/t")
-    if ph == "C":
-        args = ev.get("args")
-        if not isinstance(args, dict) or not any(
-                isinstance(v, numbers.Real) and not isinstance(v, bool)
-                for v in args.values()):
-            err("counter event: args must hold a numeric value")
     return ev
 
 
@@ -183,7 +176,6 @@ def validate(path: str) -> list[str]:
                                                    list):
         return ["top level must be an object with a traceEvents array"]
 
-    opened: dict[tuple[int, str], int] = {}  # (tid, name) -> open B count
     flows_started: set[int] = set()
     counts: dict[str, int] = {}
     for idx, raw in enumerate(doc["traceEvents"]):
@@ -192,24 +184,13 @@ def validate(path: str) -> list[str]:
             continue
         ph = ev["ph"]
         counts[ph] = counts.get(ph, 0) + 1
-        key = (ev.get("tid"), ev.get("name"))
-        if ph == "B":
-            opened[key] = opened.get(key, 0) + 1
-        elif ph == "E":
-            if opened.get(key, 0) <= 0:
-                errors.append(f"event {idx}: E without matching B for {key}")
-            else:
-                opened[key] -= 1
-        elif ph == "s":
+        if ph == "s":
             flows_started.add(ev["id"])
         elif ph == "f":
             if ev["id"] not in flows_started:
                 errors.append(
                     f"event {idx}: flow finish id {ev['id']} never started")
 
-    for key, n in sorted(opened.items()):
-        if n != 0:
-            errors.append(f"unbalanced duration events for {key}: {n} open")
     if not errors:
         summary = " ".join(f"{ph}={counts[ph]}" for ph in sorted(counts))
         print(f"validate-chrome-trace: ok: {path} "
