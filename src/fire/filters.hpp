@@ -16,9 +16,13 @@ VolumeF median_filter_3x3(const VolumeF& in);
 // 3x3x3 boxcar smoothing (post-pipeline spatial smoothing of maps).
 VolumeF average_filter_3x3x3(const VolumeF& in);
 
-// Work accounting used by exec::time_on — effective operations per voxel,
-// matching the actual implementations above (9-element gather plus partial
-// selection with its branchy comparisons; 27-element gather + accumulate).
+// Work accounting used by exec::time_on through fire/workload.cpp, and so
+// by Table 1's and fig2's simulated times: effective operations per voxel
+// of the 1999 T3E/workstation code (9-element gather plus partial selection
+// with its branchy comparisons; 27-element gather + accumulate).  These are
+// model constants of the paper's machines, not host costs: they must not
+// follow this file's implementation, whose selection network and interior
+// paths do less work on the host.
 constexpr double kMedianOpsPerVoxel = 66.0;
 constexpr double kAverageOpsPerVoxel = 60.0;
 

@@ -102,7 +102,7 @@ MotionResult MotionCorrector::correct(const VolumeF& scan) const {
       step_max = std::max(step_max, std::abs(delta[static_cast<std::size_t>(a)]));
     }
     theta = RigidTransform::from_array(arr);
-    warped = resample(smooth_scan, theta);
+    resample_into(smooth_scan, theta, warped);
     result.iterations = iter + 1;
     if (step_max < cfg_.tolerance) break;
   }

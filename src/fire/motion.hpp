@@ -48,7 +48,10 @@ class MotionCorrector {
 
 // Execution-model work accounting: per voxel per Gauss-Newton iteration,
 // a trilinear warp (~33 ops), central gradients (~18), and the J^T J / J^T r
-// accumulation (~62).
+// accumulation (~62) of the 1999 T3E/workstation code.  It feeds Table 1's
+// and fig2's simulated times through fire/workload.cpp; it is a model
+// constant of the paper's machines and must not follow the host
+// implementation's cost.
 constexpr double kMotionOpsPerVoxelIter = 113.0;
 constexpr int kMotionTypicalIters = 8;
 

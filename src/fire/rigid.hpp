@@ -39,4 +39,9 @@ struct RigidTransform {
 // src.sample(T(v)).  Border voxels clamp.
 VolumeF resample(const VolumeF& src, const RigidTransform& t);
 
+// resample() into a caller-owned volume, which is reallocated only when its
+// dims differ from `src`'s (iterative callers reuse one buffer).  `out` must
+// not be `src`.
+void resample_into(const VolumeF& src, const RigidTransform& t, VolumeF& out);
+
 }  // namespace gtw::fire

@@ -52,12 +52,20 @@ class Volume {
   }
 
   // Trilinear interpolation at a continuous voxel coordinate; coordinates
-  // outside the volume are clamped to the border.
+  // outside the volume are clamped to the border.  Taps of zero weight are
+  // skipped and the rest accumulate in dz -> dy -> dx order; when all eight
+  // lie inside the volume they are read by direct index, which reads the
+  // same voxels clamped() would.
   double sample(double x, double y, double z) const {
-    const int x0 = static_cast<int>(std::floor(x));
-    const int y0 = static_cast<int>(std::floor(y));
-    const int z0 = static_cast<int>(std::floor(z));
+    const int x0 = floor_int(x);
+    const int y0 = floor_int(y);
+    const int z0 = floor_int(z);
     const double fx = x - x0, fy = y - y0, fz = z - z0;
+    const bool inside = x0 >= 0 && y0 >= 0 && z0 >= 0 && x0 < dims_.nx - 1 &&
+                        y0 < dims_.ny - 1 && z0 < dims_.nz - 1;
+    const T* base = inside ? &data_[index(x0, y0, z0)] : nullptr;
+    const std::size_t row = static_cast<std::size_t>(dims_.nx);
+    const std::size_t slice = row * static_cast<std::size_t>(dims_.ny);
     double acc = 0.0;
     for (int dz = 0; dz <= 1; ++dz) {
       const double wz = dz != 0 ? fz : 1.0 - fz;
@@ -68,8 +76,11 @@ class Volume {
         for (int dx = 0; dx <= 1; ++dx) {
           const double wx = dx != 0 ? fx : 1.0 - fx;
           if (wx == 0.0) continue;
-          acc += wx * wy * wz *
-                 static_cast<double>(clamped(x0 + dx, y0 + dy, z0 + dz));
+          const T v = inside ? base[static_cast<std::size_t>(dz) * slice +
+                                    static_cast<std::size_t>(dy) * row +
+                                    static_cast<std::size_t>(dx)]
+                             : clamped(x0 + dx, y0 + dy, z0 + dz);
+          acc += wx * wy * wz * static_cast<double>(v);
         }
       }
     }
@@ -91,6 +102,13 @@ class Volume {
             static_cast<std::size_t>(y)) *
                dims_.nx +
            static_cast<std::size_t>(x);
+  }
+
+  // std::floor as an int without the libm call std::floor is on a baseline
+  // x86-64 build; exact wherever the int conversion is defined.
+  static int floor_int(double v) {
+    const int i = static_cast<int>(v);
+    return static_cast<double>(i) > v ? i - 1 : i;
   }
 
   Dims dims_;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "des/random.hpp"
 #include "fire/correlation.hpp"
@@ -173,6 +177,53 @@ TEST(IncrementalCorrelationTest, AffineInvariance) {
     b.add_scan(vb, y);
   }
   EXPECT_NEAR(a.correlation_at(0), b.correlation_at(0), 1e-5);
+}
+
+// Exact properties of the correlation kernel.  The reference values are
+// floats, so a voxel can hold them exactly and its running sums then equal
+// the reference's term for term.
+std::vector<double> float_series(std::uint64_t seed, int n) {
+  des::Rng rng(seed);
+  std::vector<double> v;
+  for (int t = 0; t < n; ++t)
+    v.push_back(static_cast<float>(rng.normal(0.0, 1.0)));
+  return v;
+}
+
+double correlation_of(const std::vector<double>& voxel,
+                      const std::vector<double>& ref) {
+  IncrementalCorrelation corr(Dims{1, 1, 1});
+  VolumeF img(Dims{1, 1, 1});
+  for (std::size_t t = 0; t < ref.size(); ++t) {
+    img[0] = static_cast<float>(voxel[t]);
+    corr.add_scan(img, ref[t]);
+  }
+  EXPECT_EQ(corr.correlation_map()[0],
+            static_cast<float>(corr.correlation_at(0)));
+  return corr.correlation_at(0);
+}
+
+TEST(IncrementalCorrelationTest, SeriesEqualToReferenceIsExactlyOne) {
+  const auto ref = float_series(21, 40);
+  EXPECT_EQ(correlation_of(ref, ref), 1.0);
+}
+
+TEST(IncrementalCorrelationTest, NegatedSeriesIsExactlyMinusOne) {
+  const auto ref = float_series(22, 40);
+  std::vector<double> neg;
+  for (double r : ref) neg.push_back(-r);
+  EXPECT_EQ(correlation_of(neg, ref), -1.0);
+}
+
+TEST(IncrementalCorrelationTest, IndependentSeriesAreBelowOne) {
+  const double r = correlation_of(float_series(23, 40), float_series(24, 40));
+  EXPECT_LT(r, 1.0);
+  EXPECT_GT(r, -1.0);
+}
+
+TEST(IncrementalCorrelationTest, ConstantVoxelReadsZero) {
+  const auto ref = float_series(25, 40);
+  EXPECT_EQ(correlation_of(std::vector<double>(ref.size(), 100.0), ref), 0.0);
 }
 
 TEST(DetrendTest, RemovesLinearDrift) {
@@ -370,6 +421,297 @@ TEST(RvoTest, MasksAirVoxels) {
   // Air voxels were skipped entirely.
   EXPECT_EQ(res.fits[5].best_correlation, 0.0f);
   EXPECT_LT(res.reference_evaluations, 120u);  // ~1 voxel x grid
+}
+
+// --- bit-exact equivalence of the fast kernels ------------------------------
+//
+// The clamp-only kernels as they stood before the trig hoisting, the integer
+// floor, the interior paths and the median network.  Each fast kernel must
+// reproduce its oracle bit for bit; FireGoldenTest pins the same claim on one
+// 80-scan run, these pin it kernel by kernel and at the borders.
+namespace oracle {
+
+void apply(const RigidTransform& t, double cx, double cy, double cz, double x,
+           double y, double z, double& ox, double& oy, double& oz) {
+  double px = x - cx, py = y - cy, pz = z - cz;
+  {
+    const double c = std::cos(t.rx), s = std::sin(t.rx);
+    const double ny = c * py - s * pz, nz = s * py + c * pz;
+    py = ny;
+    pz = nz;
+  }
+  {
+    const double c = std::cos(t.ry), s = std::sin(t.ry);
+    const double nx = c * px + s * pz, nz = -s * px + c * pz;
+    px = nx;
+    pz = nz;
+  }
+  {
+    const double c = std::cos(t.rz), s = std::sin(t.rz);
+    const double nx = c * px - s * py, ny = s * px + c * py;
+    px = nx;
+    py = ny;
+  }
+  ox = px + cx + t.tx;
+  oy = py + cy + t.ty;
+  oz = pz + cz + t.tz;
+}
+
+double sample(const VolumeF& v, double x, double y, double z) {
+  const int x0 = static_cast<int>(std::floor(x));
+  const int y0 = static_cast<int>(std::floor(y));
+  const int z0 = static_cast<int>(std::floor(z));
+  const double fx = x - x0, fy = y - y0, fz = z - z0;
+  double acc = 0.0;
+  for (int dz = 0; dz <= 1; ++dz) {
+    const double wz = dz != 0 ? fz : 1.0 - fz;
+    if (wz == 0.0) continue;
+    for (int dy = 0; dy <= 1; ++dy) {
+      const double wy = dy != 0 ? fy : 1.0 - fy;
+      if (wy == 0.0) continue;
+      for (int dx = 0; dx <= 1; ++dx) {
+        const double wx = dx != 0 ? fx : 1.0 - fx;
+        if (wx == 0.0) continue;
+        acc += wx * wy * wz *
+               static_cast<double>(v.clamped(x0 + dx, y0 + dy, z0 + dz));
+      }
+    }
+  }
+  return acc;
+}
+
+VolumeF resample(const VolumeF& src, const RigidTransform& t) {
+  const Dims d = src.dims();
+  VolumeF out(d);
+  const double cx = (d.nx - 1) / 2.0;
+  const double cy = (d.ny - 1) / 2.0;
+  const double cz = (d.nz - 1) / 2.0;
+  for (int z = 0; z < d.nz; ++z) {
+    for (int y = 0; y < d.ny; ++y) {
+      for (int x = 0; x < d.nx; ++x) {
+        double sx, sy, sz;
+        apply(t, cx, cy, cz, x, y, z, sx, sy, sz);
+        out.at(x, y, z) = static_cast<float>(sample(src, sx, sy, sz));
+      }
+    }
+  }
+  return out;
+}
+
+VolumeF median_filter_3x3(const VolumeF& in) {
+  const Dims d = in.dims();
+  VolumeF out(d);
+  std::array<float, 9> window;
+  for (int z = 0; z < d.nz; ++z) {
+    for (int y = 0; y < d.ny; ++y) {
+      for (int x = 0; x < d.nx; ++x) {
+        int n = 0;
+        for (int dy = -1; dy <= 1; ++dy)
+          for (int dx = -1; dx <= 1; ++dx)
+            window[static_cast<std::size_t>(n++)] =
+                in.clamped(x + dx, y + dy, z);
+        std::nth_element(window.begin(), window.begin() + 4, window.end());
+        out.at(x, y, z) = window[4];
+      }
+    }
+  }
+  return out;
+}
+
+VolumeF average_filter_3x3x3(const VolumeF& in) {
+  const Dims d = in.dims();
+  VolumeF out(d);
+  for (int z = 0; z < d.nz; ++z) {
+    for (int y = 0; y < d.ny; ++y) {
+      for (int x = 0; x < d.nx; ++x) {
+        double acc = 0.0;
+        for (int dz = -1; dz <= 1; ++dz)
+          for (int dy = -1; dy <= 1; ++dy)
+            for (int dx = -1; dx <= 1; ++dx)
+              acc += in.clamped(x + dx, y + dy, z + dz);
+        out.at(x, y, z) = static_cast<float>(acc / 27.0);
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace oracle
+
+const std::array<Dims, 5> kEquivalenceDims = {
+    Dims{1, 1, 1}, Dims{2, 3, 1}, Dims{3, 3, 3}, Dims{5, 4, 2},
+    Dims{64, 64, 16}};
+
+// Values of both signs with coarse mantissas at exponents 2^-60 .. 2^60.
+// Float inputs close in magnitude sum exactly in double, in any order; only
+// exact cancellations between the large terms let a reordered accumulation
+// change the float result, and these values make such cancellations common.
+VolumeF random_volume(Dims d, std::uint64_t seed) {
+  des::Rng rng(seed);
+  VolumeF v(d);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const double mantissa =
+        1.0 + static_cast<double>(rng.uniform_int(4)) / 4.0;
+    const int exponent = 30 * static_cast<int>(rng.uniform_int(5)) - 60;
+    v[i] = static_cast<float>((rng.bernoulli(0.5) ? -1.0 : 1.0) *
+                              std::ldexp(mantissa, exponent));
+  }
+  return v;
+}
+
+bool same_bits(const VolumeF& a, const VolumeF& b) {
+  return a.dims() == b.dims() &&
+         std::memcmp(a.data().data(), b.data().data(), a.size_bytes()) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// Per-axis probe coordinates: on each face, just inside and just outside
+// it, exact integers, negative values and values at or beyond n - 1.
+std::vector<double> probe_coordinates(int n) {
+  const double hi = n - 1;
+  return {-3.7,
+          -1.0,
+          -0.5,
+          -1e-9,
+          -0.0,
+          0.0,
+          1e-9,
+          0.5,
+          hi / 2.0,
+          std::nextafter(hi, -1.0),
+          hi,
+          std::nextafter(hi, hi + 1.0),
+          hi + 1e-9,
+          hi + 0.5,
+          hi + 1,
+          hi + 2.3};
+}
+
+TEST(FireKernelEquivalenceTest, SampleMatchesClampedOracleBitwise) {
+  std::uint64_t seed = 100;
+  for (const Dims& d : kEquivalenceDims) {
+    const VolumeF v = random_volume(d, seed++);
+    const auto xs = probe_coordinates(d.nx);
+    const auto ys = probe_coordinates(d.ny);
+    const auto zs = probe_coordinates(d.nz);
+    for (double z : zs)
+      for (double y : ys)
+        for (double x : xs)
+          ASSERT_TRUE(same_bits(v.sample(x, y, z), oracle::sample(v, x, y, z)))
+              << "dims " << d.nx << "x" << d.ny << "x" << d.nz << " at (" << x
+              << ", " << y << ", " << z << ")";
+    des::Rng rng(seed++);
+    for (int i = 0; i < 20000; ++i) {
+      const double x = rng.uniform(-2.0, d.nx + 1.0);
+      const double y = rng.uniform(-2.0, d.ny + 1.0);
+      const double z = rng.uniform(-2.0, d.nz + 1.0);
+      ASSERT_TRUE(same_bits(v.sample(x, y, z), oracle::sample(v, x, y, z)))
+          << "dims " << d.nx << "x" << d.ny << "x" << d.nz << " at (" << x
+          << ", " << y << ", " << z << ")";
+    }
+  }
+}
+
+TEST(FireKernelEquivalenceTest, ApplyMatchesPerCallTrigOracleBitwise) {
+  const RigidTransform t{0.6, -0.4, 0.2, 0.01, -0.015, 0.02};
+  des::Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    const double x = rng.uniform(-5, 70), y = rng.uniform(-5, 70),
+                 z = rng.uniform(-5, 20);
+    double ax, ay, az, bx, by, bz;
+    t.apply(31.5, 31.5, 7.5, x, y, z, ax, ay, az);
+    oracle::apply(t, 31.5, 31.5, 7.5, x, y, z, bx, by, bz);
+    ASSERT_TRUE(same_bits(ax, bx) && same_bits(ay, by) && same_bits(az, bz));
+  }
+}
+
+TEST(FireKernelEquivalenceTest, ResampleMatchesPerVoxelApplyAndSample) {
+  const std::array<RigidTransform, 5> transforms = {
+      RigidTransform{},
+      RigidTransform{1.0, 0.0, -2.0, 0.0, 0.0, 0.0},  // integer shift
+      RigidTransform{0.6, -0.4, 0.2, 0.01, -0.015, 0.02},
+      RigidTransform{0.0, 0.05, 0.0, 0.0, 0.0, 0.0},
+      RigidTransform{3.2, -1.5, 0.7, 0.4, -0.3, 1.1}};
+  std::uint64_t seed = 200;
+  for (const Dims& d : kEquivalenceDims) {
+    const VolumeF v = random_volume(d, seed++);
+    VolumeF reused(Dims{2, 2, 2});  // wrong dims: resample_into resizes it
+    for (const RigidTransform& t : transforms) {
+      const VolumeF want = oracle::resample(v, t);
+      EXPECT_TRUE(same_bits(resample(v, t), want))
+          << "dims " << d.nx << "x" << d.ny << "x" << d.nz;
+      resample_into(v, t, reused);
+      EXPECT_TRUE(same_bits(reused, want))
+          << "dims " << d.nx << "x" << d.ny << "x" << d.nz;
+    }
+  }
+}
+
+TEST(FireKernelEquivalenceTest, FiltersMatchClampedOraclesBitwise) {
+  std::uint64_t seed = 300;
+  for (const Dims& d : kEquivalenceDims) {
+    const VolumeF v = random_volume(d, seed++);
+    EXPECT_TRUE(same_bits(median_filter_3x3(v), oracle::median_filter_3x3(v)))
+        << "dims " << d.nx << "x" << d.ny << "x" << d.nz;
+    EXPECT_TRUE(
+        same_bits(average_filter_3x3x3(v), oracle::average_filter_3x3x3(v)))
+        << "dims " << d.nx << "x" << d.ny << "x" << d.nz;
+  }
+}
+
+// Runs every 9-value window through the median filter as the centre voxel
+// of its own 3x3 slice (one slice per window, a batch of slices per volume)
+// and compares it with std::nth_element by value.  When -0 and +0 tie for
+// the median, the sign std::nth_element returns is unspecified, so the
+// comparison is ==, under which -0 equals +0.
+template <typename NextWindow>
+void expect_median_matches_nth_element(std::size_t windows,
+                                       NextWindow next_window) {
+  constexpr int kBatch = 4096;
+  std::array<float, 9> w;
+  for (std::size_t done = 0; done < windows;) {
+    const int nz = static_cast<int>(
+        std::min<std::size_t>(kBatch, windows - done));
+    VolumeF v(Dims{3, 3, nz});
+    for (int z = 0; z < nz; ++z) {
+      next_window(w);
+      std::copy(w.begin(), w.end(), &v.data()[static_cast<std::size_t>(z) * 9]);
+    }
+    const VolumeF out = median_filter_3x3(v);
+    for (int z = 0; z < nz; ++z) {
+      std::copy_n(&v.data()[static_cast<std::size_t>(z) * 9], 9, w.begin());
+      std::nth_element(w.begin(), w.begin() + 4, w.end());
+      ASSERT_EQ(out.at(1, 1, z), w[4]) << "window " << done + z;
+    }
+    done += static_cast<std::size_t>(nz);
+  }
+}
+
+TEST(FireKernelEquivalenceTest,
+     MedianNetworkMatchesNthElementOnAllPermutations) {
+  std::array<float, 9> perm = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  expect_median_matches_nth_element(362880, [&](std::array<float, 9>& w) {
+    w = perm;
+    std::next_permutation(perm.begin(), perm.end());
+  });
+  EXPECT_EQ(perm, (std::array<float, 9>{1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(FireKernelEquivalenceTest,
+     MedianNetworkMatchesNthElementWithTiesAndZeros) {
+  // Every window over {-1, -0, +0, 1, 2}: 5^9 = 1953125 of them.
+  constexpr std::array<float, 5> kValues = {-1.0f, -0.0f, 0.0f, 1.0f, 2.0f};
+  std::size_t code = 0;
+  expect_median_matches_nth_element(1953125, [&](std::array<float, 9>& w) {
+    std::size_t c = code++;
+    for (float& x : w) {
+      x = kValues[c % 5];
+      c /= 5;
+    }
+  });
 }
 
 }  // namespace
