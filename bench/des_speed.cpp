@@ -1,6 +1,6 @@
 // S — DES engine speed and fidelity (DESIGN.md §10).  Not a paper figure:
-// this bench certifies the simulator's engine core after the calendar-queue
-// overhaul, on three axes:
+// this bench certifies the simulator's engine core (the radix-heap event
+// queue, pooled records and hybrid link fidelity) on three axes:
 //
 //  1. events/sec sweeps of the production scheduler against an in-bench
 //     replica of the pre-refactor engine (binary heap of new-allocated
@@ -69,7 +69,7 @@ struct WallTimer {
 
 // ---------------------------------------------------------------------------
 // Pre-refactor scheduler, reproduced verbatim from the engine this repo
-// shipped before the calendar-queue overhaul: a std::push_heap/std::pop_heap
+// shipped before the engine overhaul: a std::push_heap/std::pop_heap
 // binary heap of individually new-allocated entries, std::function actions
 // (which heap-allocate every capture larger than the SBO of ~2 words), and a
 // std::map from sequence number to entry for cancellation.  It exists only
@@ -199,7 +199,7 @@ class BaselineScheduler {
 
 // ---------------------------------------------------------------------------
 // Synthetic engine workloads, templated over the scheduler so the baseline
-// and the calendar queue execute bit-identical schedules.
+// and the radix heap execute bit-identical schedules.
 
 struct RunStats {
   std::uint64_t events = 0;
@@ -215,16 +215,16 @@ struct RunStats {
 using Ballast = std::array<std::uint64_t, 1>;
 
 // PHOLD-style hold model: a fixed population of self-rescheduling events.
-// 15/16 hops stay within ~200 µs (calendar buckets), 1/16 jump up to ~80 ms
-// ahead (overflow tier + day advance), so the sweep exercises every tier of
-// the calendar, not just the happy path.
+// 15/16 hops stay within ~200 µs (low buckets), 1/16 jump up to ~80 ms
+// ahead (high buckets, re-sorted by later redistributions), so the sweep
+// exercises the whole bucket range, not just the happy path.
 template <class Sched>
 struct HoldState {
   Sched sched;
   des::Rng rng{0x686f6c64ULL};
   std::uint64_t to_schedule = 0;
-  // 1-in-N hops jump far ahead (overflow tier); 0 keeps every hop near
-  // (bucket-resident — the network-simulation steady state, where pending
+  // 1-in-N hops jump far ahead (high buckets); 0 keeps every hop near
+  // (low buckets — the network-simulation steady state, where pending
   // events are timers and serializations within a few RTTs of now).
   std::uint64_t far_one_in = 16;
 };
@@ -316,11 +316,11 @@ struct SweepRow {
   const char* workload;
   std::size_t population;
   RunStats baseline;
-  RunStats calendar;
-  bool hash_match() const { return baseline.hash == calendar.hash; }
+  RunStats radix;
+  bool hash_match() const { return baseline.hash == radix.hash; }
   double speedup() const {
-    if (baseline.wall_s <= 0.0 || calendar.wall_s <= 0.0) return 0.0;
-    return (static_cast<double>(calendar.events) / calendar.wall_s) /
+    if (baseline.wall_s <= 0.0 || radix.wall_s <= 0.0) return 0.0;
+    return (static_cast<double>(radix.events) / radix.wall_s) /
            (static_cast<double>(baseline.events) / baseline.wall_s);
   }
 };
@@ -601,7 +601,7 @@ NationalStats run_national(const NationalConfig& nc, bool emit_obs) {
 // ---------------------------------------------------------------------------
 
 void print_des_speed(bool replay, bool quick) {
-  std::printf("== DES engine: calendar queue vs pre-refactor baseline ==%s\n",
+  std::printf("== DES engine: radix heap vs pre-refactor baseline ==%s\n",
               quick ? " (quick)" : "");
 
   struct SweepCase {
@@ -645,14 +645,14 @@ void print_des_speed(bool replay, bool quick) {
     if (std::string_view(c.workload) == "churn") {
       r.baseline = best(run_churn<BaselineScheduler>(c.population, c.budget),
                         run_churn<BaselineScheduler>(c.population, c.budget));
-      r.calendar = best(run_churn<des::Scheduler>(c.population, c.budget),
+      r.radix = best(run_churn<des::Scheduler>(c.population, c.budget),
                         run_churn<des::Scheduler>(c.population, c.budget));
     } else {
       r.baseline = best(run_hold<BaselineScheduler>(c.population, c.budget,
                                                     c.far_one_in),
                         run_hold<BaselineScheduler>(c.population, c.budget,
                                                     c.far_one_in));
-      r.calendar = best(
+      r.radix = best(
           run_hold<des::Scheduler>(c.population, c.budget, c.far_one_in),
           run_hold<des::Scheduler>(c.population, c.budget, c.far_one_in));
     }
@@ -660,21 +660,21 @@ void print_des_speed(bool replay, bool quick) {
   }
 
   std::printf("workload | population |   events | hash match |"
-              " baseline ev/s | calendar ev/s | speedup\n");
+              " baseline ev/s |    radix ev/s | speedup\n");
   for (const SweepRow& r : rows) {
     if (replay) {
       std::printf("%8s | %10zu | %8llu | %10s |      (replay) |"
                   "      (replay) |  --\n",
                   r.workload, r.population,
-                  static_cast<unsigned long long>(r.calendar.events),
+                  static_cast<unsigned long long>(r.radix.events),
                   r.hash_match() ? "yes" : "NO");
     } else {
       std::printf("%8s | %10zu | %8llu | %10s | %13.3g | %13.3g | %6.2fx\n",
                   r.workload, r.population,
-                  static_cast<unsigned long long>(r.calendar.events),
+                  static_cast<unsigned long long>(r.radix.events),
                   r.hash_match() ? "yes" : "NO",
                   static_cast<double>(r.baseline.events) / r.baseline.wall_s,
-                  static_cast<double>(r.calendar.events) / r.calendar.wall_s,
+                  static_cast<double>(r.radix.events) / r.radix.wall_s,
                   r.speedup());
     }
   }
@@ -755,17 +755,17 @@ void print_des_speed(bool replay, bool quick) {
                   "\"events\": %llu, \"stream_hash\": \"0x%016llx\", "
                   "\"hash_match\": %s",
                   r.workload, r.population,
-                  static_cast<unsigned long long>(r.calendar.events),
-                  static_cast<unsigned long long>(r.calendar.hash),
+                  static_cast<unsigned long long>(r.radix.events),
+                  static_cast<unsigned long long>(r.radix.hash),
                   r.hash_match() ? "true" : "false");
     json << buf;
     if (!replay) {
       std::snprintf(
           buf, sizeof buf,
           ", \"baseline_events_per_s\": %.17g, "
-          "\"calendar_events_per_s\": %.17g, \"speedup\": %.17g",
+          "\"radix_events_per_s\": %.17g, \"speedup\": %.17g",
           static_cast<double>(r.baseline.events) / r.baseline.wall_s,
-          static_cast<double>(r.calendar.events) / r.calendar.wall_s,
+          static_cast<double>(r.radix.events) / r.radix.wall_s,
           r.speedup());
       json << buf;
     }

@@ -30,7 +30,7 @@ class Action {
   // Sized from a census of the callables the simulator schedules: per-packet
   // events capture 8-16 bytes (`this`, `this` + an index), timers up to 24
   // (a shared_ptr), a wrapped std::function 32.  40 bytes keeps all of them
-  // inline and makes the scheduler's pooled event record 80 bytes.  Cold
+  // inline and makes the scheduler's pooled event record 64 bytes.  Cold
   // closures above it (flow-stage continuations) cost one allocation each;
   // a hot one must use inline_only() rather than grow the buffer.
   static constexpr std::size_t kInlineBytes = 40;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 namespace gtw::des {
 
@@ -15,11 +16,7 @@ void fnv1a_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-constexpr unsigned kMinBucketShift = 6;   // 64 buckets
-constexpr unsigned kMaxBucketShift = 18;  // 262144 buckets
-// Bucket width bounds: 2^10 ps ~ 1 ns up to 2^40 ps ~ 1.1 s.
-constexpr unsigned kMinWidthShift = 10;
-constexpr unsigned kMaxWidthShift = 40;
+constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
 }  // namespace
 
 void EventHandle::cancel() {
@@ -39,7 +36,6 @@ EventHandle Scheduler::schedule_at(SimTime when, Action action) {
   assert(when >= now_ && "cannot schedule into the past");
   const EventId id = pool_.acquire();
   Entry& e = pool_[id];
-  e.when = when;
   e.seq = next_seq_++;
   e.action = std::move(action);
   e.cancelled = false;
@@ -48,56 +44,95 @@ EventHandle Scheduler::schedule_at(SimTime when, Action action) {
                      check_hook_->on_schedule(when, now_, seq));
   if (span_hook_ != nullptr) span_hook_->on_event_scheduled(seq);
   ++live_events_;
-  place(QItem{when, seq, id});
-  maybe_resize();
+  push(QItem{static_cast<std::uint64_t>(when.ps()), seq, id});
   return EventHandle{this, seq, id};
 }
 
-void Scheduler::place(QItem it) {
-  const std::uint64_t day = day_of(it.when);
-  if (day == current_day_) {
-    push_bucket(bucket_of(it.when), it);
+void Scheduler::push(QItem it) {
+  if (it.key != last_) {
+    push_to(static_cast<unsigned>(std::bit_width(it.key ^ last_)) - 1, it);
     return;
   }
-  if (day > current_day_) {
-    overflow_.push_back(it);
-    std::push_heap(overflow_.begin(), overflow_.end(), later);
-    if (overflow_.size() > overflow_high_water_)
-      overflow_high_water_ = overflow_.size();
-    return;
-  }
-  // day < current_day_: the pop path jumped the calendar to a far-future day
-  // (everything nearer had fired), but the clock itself lags behind — a new
-  // event can legally land in between.  Rewind: demote the whole calendar to
-  // the overflow tier and restart the day at the new event.  Ordering is
-  // untouched; events merely change tiers.
-  for (auto& b : buckets_) {
-    overflow_.insert(overflow_.end(), b.begin(), b.end());
-    b.clear();
-  }
-  std::make_heap(overflow_.begin(), overflow_.end(), later);
-  if (overflow_.size() > overflow_high_water_)
-    overflow_high_water_ = overflow_.size();
-  calendar_size_ = 0;
-  current_day_ = day;
-  scan_idx_ = 0;
-  push_bucket(bucket_of(it.when), it);
+  // Due now: a fresh seq is the largest yet, so appending keeps seq order
+  // (a redistribution sorts the run once it has moved all its events).
+  ready_.push_back(it);
+  ready_high_water_ = std::max(ready_high_water_, ready_.size() - ready_head_);
 }
 
-void Scheduler::push_bucket(std::size_t b, QItem it) {
-  auto& v = buckets_[b];
-  v.push_back(it);
-  std::push_heap(v.begin(), v.end(), later);
-  ++calendar_size_;
-  if (v.size() > bucket_high_water_) bucket_high_water_ = v.size();
-  if (b < scan_idx_) scan_idx_ = b;
+void Scheduler::push_to(unsigned b, QItem it) {
+  Bucket& bk = buckets_[b];
+  const std::uint32_t fill = bk.size % kChunkItems;
+  if (fill == 0) {
+    const std::uint32_t c = chunks_.acquire();
+    chunks_[c].next = bk.head;
+    bk.head = c;
+    nonempty_ |= std::uint64_t{1} << b;
+  }
+  chunks_[bk.head].items[fill] = it;
+  ++bk.size;
 }
 
-void Scheduler::pop_bucket(std::size_t b) {
-  auto& v = buckets_[b];
-  std::pop_heap(v.begin(), v.end(), later);
-  v.pop_back();
-  --calendar_size_;
+template <typename F>
+void Scheduler::drain(unsigned b, F&& f) {
+  const Bucket bk = std::exchange(buckets_[b], Bucket{});
+  nonempty_ &= ~(std::uint64_t{1} << b);
+  std::uint32_t n = (bk.size - 1) % kChunkItems + 1;  // the head's fill
+  for (std::uint32_t c = bk.head; c != kNoChunk; n = kChunkItems) {
+    const Chunk& ch = chunks_[c];
+    for (std::uint32_t i = 0; i < n; ++i) f(ch.items[i]);
+    const std::uint32_t next = ch.next;
+    chunks_.release(c);  // LIFO: the next push into a lower bucket reuses it
+    c = next;
+  }
+}
+
+std::uint64_t Scheduler::min_live_key(unsigned b) const {
+  std::uint64_t m = kNoKey;
+  std::uint32_t n = (buckets_[b].size - 1) % kChunkItems + 1;
+  for (std::uint32_t c = buckets_[b].head; c != kNoChunk; n = kChunkItems) {
+    const Chunk& ch = chunks_[c];
+    // Only a candidate minimum pays the pool lookup for its tombstone flag.
+    for (std::uint32_t i = 0; i < n; ++i)
+      if (ch.items[i].key < m && !pool_[ch.items[i].id].cancelled)
+        m = ch.items[i].key;
+    c = ch.next;
+  }
+  return m;
+}
+
+bool Scheduler::refill(SimTime horizon) {
+  ready_.clear();
+  ready_head_ = 0;
+  while (nonempty_ != 0) {
+    const auto b = static_cast<unsigned>(std::countr_zero(nonempty_));
+    const std::uint64_t m = min_live_key(b);
+    if (m == kNoKey) {  // tombstones only
+      drain(b, [this](const QItem& it) {
+        --cancelled_in_q_;
+        release_entry(it.id);
+      });
+      continue;
+    }
+    // Peeking past the horizon must not move the base: a later insert may
+    // still land between now() and m.
+    if (static_cast<std::int64_t>(m) > horizon.ps()) return false;
+    // Every key in bucket b shares bits above b with last_ and with m, so
+    // each live one moves to a strictly lower bucket or into the ready run.
+    // Tombstones ride along unread, wherever their key sends them; they are
+    // released when popped, when a bucket holds nothing else, or swept.
+    last_ = m;
+    std::size_t moved = 0;
+    drain(b, [this, &moved](const QItem& it) {
+      ++moved;
+      push(it);
+    });
+    std::sort(ready_.begin(), ready_.end(),
+              [](const QItem& x, const QItem& y) { return x.seq < y.seq; });
+    ++redistributions_;
+    overflow_high_water_ = std::max(overflow_high_water_, moved);
+    return true;
+  }
+  return false;
 }
 
 void Scheduler::release_entry(EventId id) {
@@ -133,10 +168,7 @@ void Scheduler::cancel(std::uint64_t seq, EventId slot) {
   ++cancelled_in_q_;
   // Once tombstones outnumber live entries, sweep — cancellation-heavy
   // workloads stay O(live), not O(ever-scheduled).
-  if (cancelled_in_q_ > live_events_)
-    sweep_cancelled();
-  else
-    maybe_resize();
+  if (cancelled_in_q_ > live_events_) sweep_cancelled();
 }
 
 bool Scheduler::is_pending(std::uint64_t seq, EventId slot) const {
@@ -146,117 +178,68 @@ bool Scheduler::is_pending(std::uint64_t seq, EventId slot) const {
 }
 
 void Scheduler::sweep_cancelled() {
-  for (auto& b : buckets_) {
-    auto alive = b.begin();
-    for (const QItem& it : b) {
+  // Survivors go back to the bucket they came from, which is still the one
+  // their key selects: the base has not moved.
+  for (std::uint64_t bits = nonempty_; bits != 0; bits &= bits - 1) {
+    const auto b = static_cast<unsigned>(std::countr_zero(bits));
+    drain(b, [this, b](const QItem& it) {
       if (pool_[it.id].cancelled)
         release_entry(it.id);
       else
-        *alive++ = it;
-    }
-    calendar_size_ -= static_cast<std::size_t>(b.end() - alive);
-    b.erase(alive, b.end());
-    std::make_heap(b.begin(), b.end(), later);
+        push_to(b, it);
+    });
   }
-  auto alive = overflow_.begin();
-  for (const QItem& it : overflow_) {
-    if (pool_[it.id].cancelled)
-      release_entry(it.id);
+  auto alive = ready_.begin();
+  for (auto it = alive + static_cast<std::ptrdiff_t>(ready_head_);
+       it != ready_.end(); ++it) {
+    if (pool_[it->id].cancelled)
+      release_entry(it->id);
     else
-      *alive++ = it;
+      *alive++ = *it;
   }
-  overflow_.erase(alive, overflow_.end());
-  std::make_heap(overflow_.begin(), overflow_.end(), later);
+  ready_.erase(alive, ready_.end());
+  ready_head_ = 0;
   cancelled_in_q_ = 0;
-}
-
-void Scheduler::drop_all_tombstones() {
-  for (auto& b : buckets_) {
-    for (const QItem& it : b) release_entry(it.id);
-    b.clear();
-  }
-  for (const QItem& it : overflow_) release_entry(it.id);
-  overflow_.clear();
-  calendar_size_ = 0;
-  cancelled_in_q_ = 0;
-}
-
-Scheduler::QItem Scheduler::find_next() {
-  for (;;) {
-    // Scan forward within the current day.  Buckets hold *only* current-day
-    // events (future days wait in the overflow tier), so the first non-empty
-    // bucket's top is the global minimum — no wrap-around checks needed.
-    const std::size_t nb = buckets_.size();
-    while (scan_idx_ < nb) {
-      auto& b = buckets_[scan_idx_];
-      while (!b.empty() && pool_[b.front().id].cancelled) {
-        const EventId dead = b.front().id;
-        pop_bucket(scan_idx_);
-        --cancelled_in_q_;
-        release_entry(dead);
-      }
-      if (!b.empty()) return b.front();
-      ++scan_idx_;
-    }
-    // Day exhausted: jump straight to the day of the earliest overflow event
-    // (empty days cost nothing) and pull that whole day into the buckets.
-    while (!overflow_.empty() && pool_[overflow_.front().id].cancelled) {
-      const EventId dead = overflow_.front().id;
-      std::pop_heap(overflow_.begin(), overflow_.end(), later);
-      overflow_.pop_back();
-      --cancelled_in_q_;
-      release_entry(dead);
-    }
-    assert(!overflow_.empty() && "live_events_ > 0 but no event found");
-    current_day_ = day_of(overflow_.front().when);
-    scan_idx_ = 0;
-    while (!overflow_.empty()) {
-      const QItem top = overflow_.front();
-      const bool dead = pool_[top.id].cancelled;
-      if (!dead && day_of(top.when) != current_day_) break;
-      std::pop_heap(overflow_.begin(), overflow_.end(), later);
-      overflow_.pop_back();
-      if (dead) {
-        --cancelled_in_q_;
-        release_entry(top.id);
-      } else {
-        push_bucket(bucket_of(top.when), top);
-      }
-    }
-  }
 }
 
 bool Scheduler::step(SimTime horizon) {
-  if (live_events_ == 0) {
-    // Nothing left to fire; drop any remaining tombstones so a drained
-    // scheduler reports zero queued entries, as the vector-heap did.
-    if (cancelled_in_q_ != 0) drop_all_tombstones();
-    return false;
+  for (;;) {
+    if (live_events_ == 0) {
+      // Nothing left to fire; drop any remaining tombstones so a drained
+      // scheduler reports zero queued entries.
+      if (cancelled_in_q_ != 0) sweep_cancelled();
+      return false;
+    }
+    if (ready_head_ == ready_.size() && !refill(horizon)) return false;
+    const QItem it = ready_[ready_head_];
+    if (static_cast<std::int64_t>(it.key) > horizon.ps()) return false;
+    ++ready_head_;
+    if (pool_[it.id].cancelled) {
+      --cancelled_in_q_;
+      release_entry(it.id);
+      continue;
+    }
+    const SimTime when = SimTime::picoseconds(static_cast<std::int64_t>(it.key));
+    GTW_CHECK_HOOK(if (check_hook_ != nullptr)
+                       check_hook_->on_fire(when, it.seq));
+    --live_events_;
+    now_ = when;
+    ++executed_;
+    fnv1a_mix(stream_hash_, it.key);
+    fnv1a_mix(stream_hash_, it.seq);
+    // Move the action out and free the slot *before* invoking: the action
+    // may schedule or cancel, and nothing below references the entry.
+    Action action = std::move(pool_[it.id].action);
+    release_entry(it.id);
+    if (span_hook_ != nullptr) {
+      span_hook_->on_event_fire(it.seq);
+      action();
+      span_hook_->on_event_done();
+    } else {
+      action();
+    }
+    return true;
   }
-  const QItem it = find_next();
-  if (it.when > horizon) return false;
-  pop_bucket(scan_idx_);
-  GTW_CHECK_HOOK(if (check_hook_ != nullptr)
-                     check_hook_->on_fire(it.when, it.seq));
-  --live_events_;
-  now_ = it.when;
-  ++executed_;
-  fnv1a_mix(stream_hash_, static_cast<std::uint64_t>(it.when.ps()));
-  fnv1a_mix(stream_hash_, it.seq);
-  // Move the action out and free the slot *before* invoking: the action may
-  // schedule, cancel, or trigger a calendar resize, all of which may touch
-  // this slot's tier — nothing below references the entry.
-  Action action = std::move(pool_[it.id].action);
-  release_entry(it.id);
-  maybe_resize();
-  if (span_hook_ != nullptr) {
-    span_hook_->on_event_fire(it.seq);
-    action();
-    span_hook_->on_event_done();
-  } else {
-    action();
-  }
-  return true;
 }
 
 std::uint64_t Scheduler::run(SimTime horizon) {
@@ -264,70 +247,6 @@ std::uint64_t Scheduler::run(SimTime horizon) {
   while (step(horizon)) ++n;
   if (queued_entries() != 0 && horizon != SimTime::max()) now_ = horizon;
   return n;
-}
-
-void Scheduler::maybe_resize() {
-  const std::size_t nb = std::size_t{1} << bucket_shift_;
-  const bool grow = live_events_ > 2 * nb && bucket_shift_ < kMaxBucketShift;
-  const bool shrink = live_events_ < nb / 8 && bucket_shift_ > kMinBucketShift;
-  if (!grow && !shrink) return;
-  const unsigned target = static_cast<unsigned>(std::bit_width(
-      std::max<std::size_t>(live_events_, std::size_t{1} << kMinBucketShift)));
-  rebuild(std::clamp(target, kMinBucketShift, kMaxBucketShift));
-}
-
-void Scheduler::rebuild(unsigned new_bucket_shift) {
-  ++resizes_;
-  auto& live = rebuild_scratch_;
-  live.clear();
-  for (auto& b : buckets_) {
-    for (const QItem& it : b) {
-      if (pool_[it.id].cancelled)
-        release_entry(it.id);
-      else
-        live.push_back(it);
-    }
-    b.clear();
-  }
-  for (const QItem& it : overflow_) {
-    if (pool_[it.id].cancelled)
-      release_entry(it.id);
-    else
-      live.push_back(it);
-  }
-  overflow_.clear();
-  calendar_size_ = 0;
-  cancelled_in_q_ = 0;
-
-  bucket_shift_ = new_bucket_shift;
-  buckets_.resize(std::size_t{1} << bucket_shift_);
-
-  if (live.empty()) {
-    current_day_ = day_of(now_);
-    scan_idx_ = 0;
-    return;
-  }
-
-  // Re-estimate the bucket width from the *imminent* inter-event gap: sort
-  // the survivors and size buckets so one day spans ~4x the next
-  // table-load of events.  The headroom factor keeps the bulk of the live
-  // horizon inside the current day — with a day sized exactly to the
-  // sampled span, roughly half the events would straddle the day boundary
-  // and detour through the overflow heap.  Far-future timers land in the
-  // overflow tier and do not distort the estimate.
-  std::sort(live.begin(), live.end(),
-            [](const QItem& a, const QItem& b) { return later(b, a); });
-  const std::size_t k = std::min(live.size(), buckets_.size());
-  const std::uint64_t span = static_cast<std::uint64_t>(
-      live[k - 1].when.ps() - live[0].when.ps());
-  const std::uint64_t gap = (span / static_cast<std::uint64_t>(k)) * 4 + 1;
-  const unsigned ws = static_cast<unsigned>(std::bit_width(gap));
-  width_shift_ = std::clamp(ws, kMinWidthShift,
-                            std::min(kMaxWidthShift, 61U - bucket_shift_));
-  current_day_ = day_of(live[0].when);
-  scan_idx_ = 0;
-  for (const QItem& it : live) place(it);
-  live.clear();
 }
 
 }  // namespace gtw::des

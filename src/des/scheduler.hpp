@@ -1,4 +1,4 @@
-// Deterministic discrete-event scheduler on a calendar queue.
+// Deterministic discrete-event scheduler on a monotone radix heap.
 //
 // Events at equal timestamps fire in insertion order (a monotonically
 // increasing sequence number breaks ties), so a simulation run is a pure
@@ -8,15 +8,19 @@
 // Engine layout (DESIGN.md §10): event records live in a slab pool
 // (des/pool.hpp) and carry their callable inline (des/action.hpp), so the
 // steady-state schedule/fire cycle performs no heap allocation.  The queue
-// itself is a calendar: the current "day" is split into power-of-two-width
-// buckets, each a small min-heap ordered by (timestamp, seq); events beyond
-// the day wait in a ladder-style overflow heap and are redistributed when
-// their day arrives.  The table auto-resizes (bucket count tracks the live
-// event count, bucket width tracks the observed inter-event gap), giving
-// O(1) amortized schedule/fire against the vector-heap's O(log n) — the
-// difference between thousands and millions of concurrent flows.
+// is a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan 1990) keyed by the fire
+// time in integer picoseconds: simulated time never runs backwards, so an
+// event waits in the bucket of the highest bit at which its time differs
+// from the last fired time, and events due at exactly that time form a
+// "ready run" in seq order.  When the run empties, the lowest non-empty
+// bucket is scanned for its minimum, which becomes the new base, and its
+// events drop into lower buckets or the run.  An event moves at most 64
+// times in its life, so schedule/fire is O(1) amortized with no tuning
+// knob; bucket storage is fixed-size chunks from one slab pool, so no
+// bucket keeps a capacity of its own.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -82,17 +86,18 @@ class Scheduler {
   std::uint64_t stream_hash() const { return stream_hash_; }
   // Queue entries including cancelled ones not yet swept/popped — lets tests
   // observe that cancellation churn does not accumulate garbage.
-  std::size_t queued_entries() const { return calendar_size_ + overflow_.size(); }
+  std::size_t queued_entries() const { return live_events_ + cancelled_in_q_; }
   std::size_t cancelled_entries() const { return cancelled_in_q_; }
 
   // --- engine observability (read-only; wired up by obs::instrument_scheduler)
   std::size_t live_events() const { return live_events_; }
-  std::size_t calendar_buckets() const { return buckets_.size(); }
-  std::size_t overflow_entries() const { return overflow_.size(); }
-  // Most entries any single bucket ever held (tombstones included).
-  std::size_t bucket_high_water() const { return bucket_high_water_; }
+  // Buckets scanned and emptied into lower buckets and the ready run.
+  std::uint64_t redistributions() const { return redistributions_; }
+  // Most entries the ready run (events due at one instant) ever held.
+  std::size_t ready_high_water() const { return ready_high_water_; }
+  // Most entries a single redistribution moved: the deepest re-sort of
+  // not-yet-due events the heap ever paid for at once.
   std::size_t overflow_high_water() const { return overflow_high_water_; }
-  std::uint64_t calendar_resizes() const { return resizes_; }
   // Event-pool footprint: slots allocated, currently live, and the peak.
   std::size_t pool_slots() const { return pool_.slots(); }
   std::size_t pool_in_use() const { return pool_.in_use(); }
@@ -115,63 +120,59 @@ class Scheduler {
   SpanHook* span_hook() const { return span_hook_; }
 #if defined(GTW_CHECK)
   std::uint64_t pool_double_frees() const {
-    return pool_.check_double_frees();
+    return pool_.check_double_frees() + chunks_.check_double_frees();
   }
 #endif
 
  private:
   friend class EventHandle;
 
+  // The action leads so the record packs into 64 bytes; the fire time
+  // lives only in the queue item.
   struct Entry {
-    SimTime when;
-    std::uint64_t seq = 0;  // 0 while the slot is free
     Action action;
+    std::uint64_t seq = 0;  // 0 while the slot is free
     bool cancelled = false;
   };
   using EventId = std::uint32_t;
 
-  // Queue item: the ordering key is carried inline so heap sifts and the
-  // rebuild sort compare contiguous 24-byte items instead of chasing the
-  // pool — on deep tiers the pointer chase is pure cache-miss traffic.
+  // Queue item: the ordering key is carried inline so scans and the ready
+  // run's sort read contiguous items instead of chasing the pool.
   struct QItem {
-    SimTime when;
+    std::uint64_t key;  // fire time in ps
     std::uint64_t seq;
     EventId id;
   };
 
-  // Min-first comparison for heap use (std::push_heap keeps the *largest*
-  // in front under operator<, so "later" ordering yields earliest-first).
-  static bool later(const QItem& a, const QItem& b) {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
+  // Bucket storage: a chain of chunks, newest first.  Every chunk but the
+  // head is full, so a bucket is just its head and its size.
+  static constexpr std::uint32_t kChunkItems = 32;
+  struct Chunk {
+    QItem items[kChunkItems];
+    std::uint32_t next;
+  };
+  using ChunkPool = SlabPool<Chunk, 64>;
+  static constexpr std::uint32_t kNoChunk = ChunkPool::kInvalid;
+  struct Bucket {
+    std::uint32_t head = kNoChunk;
+    std::uint32_t size = 0;
+  };
 
   void cancel(std::uint64_t seq, EventId slot);
   bool is_pending(std::uint64_t seq, EventId slot) const;
 
-  std::uint64_t day_of(SimTime t) const {
-    return static_cast<std::uint64_t>(t.ps()) >>
-           (width_shift_ + bucket_shift_);
-  }
-  std::size_t bucket_of(SimTime t) const {
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(t.ps()) >> width_shift_) &
-        ((std::size_t{1} << bucket_shift_) - 1));
-  }
-
-  void place(QItem it);             // route an entry to its bucket/overflow
-  void push_bucket(std::size_t b, QItem it);
-  void pop_bucket(std::size_t b);   // pop the top item (heap pop, no release)
+  void push(QItem it);  // into the ready run or the bucket its key selects
+  void push_to(unsigned b, QItem it);
+  // Detach bucket b and hand each item to `f`, returning every chunk to the
+  // pool as soon as its items are handed on.
+  template <typename F>
+  void drain(unsigned b, F&& f);
+  std::uint64_t min_live_key(unsigned b) const;  // UINT64_MAX if none
+  // Make the ready run hold the earliest live event if it is due by
+  // `horizon`; false (and the base untouched) otherwise.
+  bool refill(SimTime horizon);
   void release_entry(EventId id);
-  // Position the queue so the globally earliest live event is the top of
-  // buckets_[scan_idx_]; returns it (requires live_events_ > 0).  Advances
-  // days and redistributes overflow as a side effect — which is invisible:
-  // it never changes the (time, seq) execution order.
-  QItem find_next();
-  void drop_all_tombstones();
   void sweep_cancelled();
-  void maybe_resize();
-  void rebuild(unsigned new_bucket_shift);
 
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;
@@ -180,25 +181,23 @@ class Scheduler {
 
   std::size_t live_events_ = 0;    // scheduled, not yet fired or cancelled
   std::size_t cancelled_in_q_ = 0; // tombstones still occupying queue slots
-  std::size_t calendar_size_ = 0;  // ids stored across buckets_ (incl. tombstones)
 
-  // Calendar geometry.  Bucket width and day length are powers of two of
-  // picoseconds so event->bucket mapping is two shifts and a mask; the
-  // absolute alignment makes day indices stable under resize.
-  unsigned width_shift_ = 20;  // 2^20 ps ~ 1 us buckets initially
-  unsigned bucket_shift_ = 6;  // 64 buckets initially
-  std::uint64_t current_day_ = 0;
-  std::size_t scan_idx_ = 0;  // next bucket to examine within the day
+  // Radix-heap state.  Invariant: every live item's key is >= last_ and
+  // sits in the ready run (key == last_) or in bucket
+  // bit_width(key ^ last_) - 1.  last_ moves only to the time of the event
+  // about to fire, so it never passes an event that has not fired.
+  std::uint64_t last_ = 0;
+  std::uint64_t nonempty_ = 0;  // bit b set iff buckets_[b] holds items
+  std::array<Bucket, 64> buckets_{};
+  std::vector<QItem> ready_;    // seq-ordered; consumed from ready_head_
+  std::size_t ready_head_ = 0;
 
   SlabPool<Entry, 1024> pool_;
-  std::vector<std::vector<QItem>> buckets_ =
-      std::vector<std::vector<QItem>>(64);
-  std::vector<QItem> overflow_;  // min-heap of beyond-the-day events
-  std::vector<QItem> rebuild_scratch_;
+  ChunkPool chunks_;
 
-  std::size_t bucket_high_water_ = 0;
+  std::uint64_t redistributions_ = 0;
+  std::size_t ready_high_water_ = 0;
   std::size_t overflow_high_water_ = 0;
-  std::uint64_t resizes_ = 0;
   SchedulerCheckHook* check_hook_ = nullptr;
   SpanHook* span_hook_ = nullptr;
 };

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "fire/filters.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/solve.hpp"
 
 namespace gtw::fire {
@@ -31,9 +30,10 @@ MotionResult MotionCorrector::correct(const VolumeF& scan) const {
       cfg_.presmooth ? average_filter_3x3x3(scan) : scan;
   VolumeF warped = smooth_scan;
   for (int iter = 0; iter < cfg_.max_iterations; ++iter) {
-    // J^T J (6x6) and J^T r accumulated over foreground voxels.
-    linalg::Matrix jtj(6, 6);
-    linalg::Vector jtr(6, 0.0);
+    // J^T J (6x6, row-major) and J^T r accumulated over foreground voxels;
+    // fixed storage keeps the iteration allocation-free.
+    std::array<double, 36> jtj{};
+    std::array<double, 6> jtr{};
     double sse = 0.0;
     std::size_t count = 0;
 
@@ -60,13 +60,9 @@ MotionResult MotionCorrector::correct(const VolumeF& scan) const {
               gx * pz + gz * (-px),
               gx * (-py) + gy * px,
           };
-          for (int a = 0; a < 6; ++a) {
-            jtr[static_cast<std::size_t>(a)] +=
-                jrow[static_cast<std::size_t>(a)] * r;
-            for (int b = a; b < 6; ++b)
-              jtj(static_cast<std::size_t>(a), static_cast<std::size_t>(b)) +=
-                  jrow[static_cast<std::size_t>(a)] *
-                  jrow[static_cast<std::size_t>(b)];
+          for (std::size_t a = 0; a < 6; ++a) {
+            jtr[a] += jrow[a] * r;
+            for (std::size_t b = a; b < 6; ++b) jtj[a * 6 + b] += jrow[a] * jrow[b];
           }
           sse += r * r;
           ++count;
@@ -74,32 +70,27 @@ MotionResult MotionCorrector::correct(const VolumeF& scan) const {
       }
     }
     if (count == 0) break;
-    for (int a = 0; a < 6; ++a)
-      for (int b = 0; b < a; ++b)
-        jtj(static_cast<std::size_t>(a), static_cast<std::size_t>(b)) =
-            jtj(static_cast<std::size_t>(b), static_cast<std::size_t>(a));
+    for (std::size_t a = 0; a < 6; ++a)
+      for (std::size_t b = 0; b < a; ++b) jtj[a * 6 + b] = jtj[b * 6 + a];
     // Levenberg damping keeps the step sane when gradients are weak.
-    for (int a = 0; a < 6; ++a)
-      jtj(static_cast<std::size_t>(a), static_cast<std::size_t>(a)) *= 1.001;
+    for (std::size_t a = 0; a < 6; ++a) jtj[a * 6 + a] *= 1.001;
 
     const double rmse = std::sqrt(sse / static_cast<double>(count));
     if (iter == 0) result.initial_rmse = rmse;
     result.final_rmse = rmse;
     result.iterations = iter;
 
-    linalg::Vector delta;
-    try {
-      delta = linalg::solve_spd(jtj, jtr);
-    } catch (const std::exception&) {
-      break;  // degenerate system (e.g. uniform image): keep current estimate
-    }
+    // jtr becomes the step; a degenerate system (e.g. a uniform image)
+    // keeps the current estimate.
+    if (!linalg::solve_spd_in_place(jtj, jtr)) break;
+    const std::array<double, 6>& delta = jtr;
 
     // Gauss-Newton step (residual = warped - ref, so subtract).
     auto arr = theta.as_array();
     double step_max = 0.0;
-    for (int a = 0; a < 6; ++a) {
-      arr[static_cast<std::size_t>(a)] -= delta[static_cast<std::size_t>(a)];
-      step_max = std::max(step_max, std::abs(delta[static_cast<std::size_t>(a)]));
+    for (std::size_t a = 0; a < 6; ++a) {
+      arr[a] -= delta[a];
+      step_max = std::max(step_max, std::abs(delta[a]));
     }
     theta = RigidTransform::from_array(arr);
     resample_into(smooth_scan, theta, warped);

@@ -1,5 +1,6 @@
 #include "linalg/solve.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -54,37 +55,44 @@ Vector solve_least_squares_qr(const Matrix& a, const Vector& b) {
   return x;
 }
 
+bool solve_spd_in_place(std::span<double> m, std::span<double> b) {
+  const std::size_t n = b.size();
+  assert(m.size() == n * n);
+  // Cholesky M = L L^T.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double s = m[i * n + j];
+      for (std::size_t k = 0; k < j; ++k) s -= m[i * n + k] * m[j * n + k];
+      if (i == j) {
+        if (s <= 0.0) return false;
+        m[i * n + i] = std::sqrt(s);
+      } else {
+        m[i * n + j] = s / m[j * n + j];
+      }
+    }
+  }
+  // Forward (b becomes y) then back substitution (y becomes x).
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = b[i];
+    for (std::size_t k = 0; k < i; ++k) s -= m[i * n + k] * b[k];
+    b[i] = s / m[i * n + i];
+  }
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = b[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) s -= m[k * n + ii] * b[k];
+    b[ii] = s / m[ii * n + ii];
+  }
+  return true;
+}
+
 Vector solve_spd(const Matrix& m_in, const Vector& b) {
   const std::size_t n = m_in.rows();
   if (m_in.cols() != n || b.size() != n)
     throw std::runtime_error("solve_spd: size mismatch");
-  // Cholesky M = L L^T.
-  Matrix l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double s = m_in(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-      if (i == j) {
-        if (s <= 0.0) throw std::runtime_error("solve_spd: not positive definite");
-        l(i, i) = std::sqrt(s);
-      } else {
-        l(i, j) = s / l(j, j);
-      }
-    }
-  }
-  // Forward then back substitution.
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
-    y[i] = s / l(i, i);
-  }
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
-    x[ii] = s / l(ii, ii);
-  }
+  Matrix l = m_in;
+  Vector x = b;
+  if (!solve_spd_in_place(std::span<double>(l.data(), n * n), x))
+    throw std::runtime_error("solve_spd: not positive definite");
   return x;
 }
 

@@ -28,13 +28,14 @@
 
 namespace gtw::obs {
 
-// des.sched.{events_executed,live_events,calendar_buckets,overflow_entries,
-// bucket_high_water,overflow_high_water,calendar_resizes,pool_slots,
-// pool_in_use,pool_high_water,pool_slabs,events_per_sim_s}.  The engine-core
-// dashboard: calendar occupancy says whether the bucket-width estimate fits
-// the workload, pool high-water is the event-record footprint, and
-// events_per_sim_s (executed events per *simulated* second — deterministic,
-// unlike a wall-clock rate) tracks how event-dense the scenario is.
+// des.sched.{events_executed,live_events,redistributions,ready_high_water,
+// overflow_high_water,pool_slots,pool_in_use,pool_high_water,pool_slabs,
+// events_per_sim_s}.  The engine-core dashboard: redistributions and
+// overflow_high_water (the largest single one) are the radix heap's
+// re-sorting work, ready_high_water the most events due at one instant,
+// pool high-water is the event-record footprint, and events_per_sim_s
+// (executed events per *simulated* second — deterministic, unlike a
+// wall-clock rate) tracks how event-dense the scenario is.
 void instrument_scheduler(Registry& reg, const des::Scheduler& sched,
                           const std::string& prefix = "des.sched");
 

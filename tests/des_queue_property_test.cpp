@@ -1,14 +1,15 @@
-// Property test: the calendar-queue scheduler is observationally identical
-// to a reference binary-heap scheduler (the seed engine's ordering rule,
+// Property test: the radix-heap scheduler is observationally identical to a
+// reference scheduler (the seed engine's (time, seq) ordering rule,
 // re-implemented here in its simplest possible form).
 //
 // A randomized workload of schedules, cancels, nested reschedules, timestamp
 // collisions, and horizon-bounded runs is driven through both engines with
 // the same RNG stream.  The full execution transcript — (timestamp, tag) per
 // fired event — and the FNV-1a stream hash must match exactly.  This pins the
-// calendar's tier mechanics (bucket heaps, overflow ladder, day jumps,
-// demotion, resize, tombstone sweeps) to the simple model: any internal
-// reorganization that leaks into execution order is caught here.
+// heap's mechanics (bucket redistribution, the seq-ordered ready run,
+// horizon peeks that must not move the base, tombstone sweeps) to the
+// simple model: any internal reorganization that leaks into execution
+// order is caught here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -130,7 +131,7 @@ Transcript drive(Sched& sched, std::uint64_t seed, std::uint64_t* hash_out) {
 
   for (int round = 0; round < 40; ++round) {
     // A burst of fresh events: near, far, and colliding timestamps.  The
-    // far band is many calendar "days" out, forcing overflow traffic.
+    // bands differ in their high bits, so events spread over many buckets.
     for (int i = 0; i < 25; ++i) {
       const std::uint64_t r = rng.next_u64();
       std::int64_t delay_ps = 0;
@@ -162,8 +163,8 @@ Transcript drive(Sched& sched, std::uint64_t seed, std::uint64_t* hash_out) {
       cancellable.erase(cancellable.begin() +
                         static_cast<std::ptrdiff_t>(pick));
     }
-    // Drain a horizon-bounded slice, so later rounds insert both before and
-    // after the calendar's current day cursor.
+    // Drain a horizon-bounded slice, so later rounds insert between now()
+    // and events the bounded run peeked at but did not fire.
     const std::int64_t horizon_ps =
         sched.now().ps() + static_cast<std::int64_t>(rng.next_u64() % 30'000'000);
     sched.run(SimTime::picoseconds(horizon_ps));
@@ -173,11 +174,11 @@ Transcript drive(Sched& sched, std::uint64_t seed, std::uint64_t* hash_out) {
   return out;
 }
 
-TEST(CalendarPropertyTest, MatchesReferenceHeapUnderRandomChurn) {
+TEST(QueuePropertyTest, MatchesReferenceHeapUnderRandomChurn) {
   for (std::uint64_t seed : {1ULL, 0xdecafULL, 0x9e3779b97f4a7c15ULL}) {
     // des::Scheduler::cancel is private (handles cancel themselves), so wrap
     // both engines behind the same micro-interface.
-    struct CalWrap {
+    struct QueueWrap {
       Scheduler s;
       SimTime now() const { return s.now(); }
       std::uint64_t stream_hash() const { return s.stream_hash(); }
@@ -199,26 +200,25 @@ TEST(CalendarPropertyTest, MatchesReferenceHeapUnderRandomChurn) {
       std::uint64_t run(SimTime h = SimTime::max()) { return s.run(h); }
     };
 
-    CalWrap cal;
+    QueueWrap q;
     RefWrap ref;
-    std::uint64_t cal_hash = 0, ref_hash = 0;
-    const Transcript cal_t =
-        drive<CalWrap, EventHandle>(cal, seed, &cal_hash);
+    std::uint64_t q_hash = 0, ref_hash = 0;
+    const Transcript q_t = drive<QueueWrap, EventHandle>(q, seed, &q_hash);
     const Transcript ref_t =
         drive<RefWrap, ReferenceScheduler::Handle>(ref, seed, &ref_hash);
 
-    ASSERT_EQ(cal_t.size(), ref_t.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < cal_t.size(); ++i) {
-      ASSERT_EQ(cal_t[i], ref_t[i])
+    ASSERT_EQ(q_t.size(), ref_t.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < q_t.size(); ++i) {
+      ASSERT_EQ(q_t[i], ref_t[i])
           << "seed " << seed << " diverges at event " << i;
     }
-    EXPECT_EQ(cal_hash, ref_hash) << "seed " << seed;
+    EXPECT_EQ(q_hash, ref_hash) << "seed " << seed;
   }
 }
 
-// The transcript must also be insensitive to the calendar's initial
-// geometry: force resizes mid-run by front-loading a large population.
-TEST(CalendarPropertyTest, ResizeDuringRunPreservesOrder) {
+// The transcript must also be insensitive to how the population is spread:
+// front-load a large population so every fire redistributes deep buckets.
+TEST(QueuePropertyTest, RedistributionDuringRunPreservesOrder) {
   Scheduler sched;
   ReferenceScheduler ref;
   Rng rng(0x5ca1ab1eULL);
@@ -226,11 +226,11 @@ TEST(CalendarPropertyTest, ResizeDuringRunPreservesOrder) {
   for (int i = 0; i < 3000; ++i)
     delays.push_back(static_cast<std::int64_t>(rng.next_u64() % 2'000'000));
 
-  Transcript cal_t, ref_t;
+  Transcript q_t, ref_t;
   for (int i = 0; i < 3000; ++i) {
     sched.schedule_after(SimTime::picoseconds(delays[static_cast<std::size_t>(i)]),
-                         [&cal_t, &sched, i] {
-                           cal_t.emplace_back(sched.now().ps(), i);
+                         [&q_t, &sched, i] {
+                           q_t.emplace_back(sched.now().ps(), i);
                          });
     ref.schedule_after(SimTime::picoseconds(delays[static_cast<std::size_t>(i)]),
                        [&ref_t, &ref, i] {
@@ -239,9 +239,126 @@ TEST(CalendarPropertyTest, ResizeDuringRunPreservesOrder) {
   }
   sched.run();
   ref.run();
-  EXPECT_EQ(cal_t, ref_t);
+  EXPECT_EQ(q_t, ref_t);
   EXPECT_EQ(sched.stream_hash(), ref.stream_hash());
-  EXPECT_GE(sched.calendar_resizes(), 1u);
+  EXPECT_GE(sched.redistributions(), 1u);
+  EXPECT_GT(sched.overflow_high_water(), 1000u)
+      << "the first fire must re-sort most of the population at once";
+}
+
+// Fire both engines through the same scripted scenario and compare.
+template <typename Script>
+void expect_same_transcript(Script script) {
+  Scheduler sched;
+  ReferenceScheduler ref;
+  Transcript q_t, ref_t;
+  script(sched, q_t);
+  script(ref, ref_t);
+  EXPECT_EQ(q_t, ref_t);
+  EXPECT_EQ(sched.stream_hash(), ref.stream_hash());
+}
+
+// (a) One timestamp's group reaches the ready run from two sources: 40
+// events that a redistribution moved (spanning two bucket chunks, drained
+// newest chunk first) and 40 scheduled after it.  All 80 fire in seq order.
+TEST(QueuePropertyTest, EqualTimestampsSplitAcrossRedistributionFireInSeqOrder) {
+  expect_same_transcript([](auto& s, Transcript& out) {
+    const SimTime t = SimTime::picoseconds(1000);
+    auto tagged = [&s, &out](int tag) {
+      return [&s, &out, tag] { out.emplace_back(s.now().ps(), tag); };
+    };
+    for (int i = 0; i < 40; ++i) s.schedule_at(t, tagged(i));
+    s.schedule_at(SimTime::picoseconds(999), [&s, &out, t, tagged] {
+      out.emplace_back(s.now().ps(), -1);
+      for (int i = 40; i < 80; ++i) s.schedule_at(t, tagged(i));
+    });
+    s.run();
+  });
+}
+
+// (b) The widest keys the heap can hold share it with keys next to now().
+TEST(QueuePropertyTest, KeysNearMaxSitBesideKeysNearNow) {
+  expect_same_transcript([](auto& s, Transcript& out) {
+    const std::int64_t max = SimTime::max().ps();
+    const std::int64_t keys[] = {max, 3, max - 1, 0, max, 1, max - 3, 2, 0};
+    int tag = 0;
+    for (std::int64_t k : keys) {
+      s.schedule_at(SimTime::picoseconds(k), [&s, &out, tag] {
+        out.emplace_back(s.now().ps(), tag);
+        if (tag == 5)  // re-arm next to now() while max-range keys wait
+          s.schedule_after(SimTime::picoseconds(1), [&s, &out] {
+            out.emplace_back(s.now().ps(), 100);
+          });
+      });
+      ++tag;
+    }
+    s.run();
+  });
+}
+
+// (c) A bounded step that peeks at a pending event must leave the heap's
+// base where it was: an insert may still land between now() and that event.
+TEST(QueuePropertyTest, PeekPastHorizonDoesNotMoveTheBase) {
+  expect_same_transcript([](auto& s, Transcript& out) {
+    auto at = [&s, &out](std::int64_t ps, int tag) {
+      s.schedule_at(SimTime::picoseconds(ps),
+                    [&s, &out, tag] { out.emplace_back(s.now().ps(), tag); });
+    };
+    at(100, 0);
+    at(1'000'000, 1);
+    at(1'000'001, 2);
+    EXPECT_TRUE(s.step(SimTime::picoseconds(500)));  // fires t=100
+    EXPECT_FALSE(s.step(SimTime::picoseconds(500)));
+    EXPECT_FALSE(s.step(SimTime::picoseconds(999'999)));
+    EXPECT_EQ(s.now(), SimTime::picoseconds(100));
+    at(101, 3);
+    at(600'000, 4);
+    at(1'000'000, 5);  // ties with tag 1; later seq fires after it
+    at(999'999, 6);
+    s.run();
+  });
+}
+
+// (d) Cancelling the head of the ready run, then the rest of it (which
+// sweeps), leaves a run that still accepts and fires events due now.
+TEST(QueuePropertyTest, CancelledReadyRunHeadIsSkipped) {
+  Scheduler sched;
+  std::vector<int> order;
+  const SimTime t = SimTime::microseconds(5);
+  std::vector<EventHandle> h;
+  for (int i = 0; i < 4; ++i)
+    h.push_back(sched.schedule_at(t, [&order, i] { order.push_back(i); }));
+  ASSERT_TRUE(sched.step());  // fires 0; 1..3 wait in the ready run
+  h[1].cancel();              // the run's head
+  ASSERT_TRUE(sched.step());  // skips the tombstone, fires 2
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+  h[3].cancel();  // tombstones now outnumber live events: swept
+  EXPECT_EQ(sched.queued_entries(), 0u);
+  EXPECT_EQ(sched.cancelled_entries(), 0u);
+  sched.schedule_at(t, [&order] { order.push_back(4); });
+  sched.schedule_at(t, [&order] { order.push_back(5); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 5}));
+  EXPECT_EQ(sched.now(), t);
+  EXPECT_EQ(sched.pool_in_use(), 0u);
+}
+
+// A tombstone due by the horizon shares a bucket with the earliest live
+// event, which is not.  Only a live key may become the base: were the base
+// moved to the tombstone (500), a later insert at 300 would sit below it and
+// fire after the event at 501.
+TEST(QueuePropertyTest, CancelledEventNeverBecomesTheBase) {
+  Scheduler sched;
+  std::vector<int> order;
+  EventHandle dead = sched.schedule_at(SimTime::picoseconds(500),
+                                       [&order] { order.push_back(0); });
+  sched.schedule_at(SimTime::picoseconds(501), [&order] { order.push_back(1); });
+  dead.cancel();  // one tombstone, one live event: no sweep
+  ASSERT_EQ(sched.cancelled_entries(), 1u);
+  EXPECT_FALSE(sched.step(SimTime::picoseconds(500)));
+  sched.schedule_at(SimTime::picoseconds(300), [&order] { order.push_back(2); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
 
 }  // namespace

@@ -207,9 +207,9 @@ TEST(SchedulerTest, UseAfterFireHandleCannotCancelRecycledSlot) {
 
 TEST(SchedulerTest, EarlierInsertAfterHorizonJumpStaysOrdered) {
   // Peeking past a far-future event (a horizon-bounded run that executes
-  // nothing) advances the calendar's internal day cursor.  A later insert
-  // that lands *before* that day — legal, since it is still >= now() — must
-  // rewind the calendar, and execution order must come out strictly sorted.
+  // nothing) must not advance the queue's base to that event.  A later
+  // insert that lands before it — legal, since it is still >= now() — must
+  // come out strictly sorted.
   Scheduler sched;
   std::vector<int> order;
   sched.schedule_at(SimTime::seconds(1000.0), [&] { order.push_back(3); });
@@ -222,8 +222,8 @@ TEST(SchedulerTest, EarlierInsertAfterHorizonJumpStaysOrdered) {
 }
 
 TEST(SchedulerTest, SparseFarFutureDayJumpsExecuteInOrder) {
-  // Events many "days" apart (seconds vs the microsecond-scale default
-  // bucket width) must hop empty days without executing out of order.
+  // Events whose times differ in widely separated bits (microseconds vs
+  // an hour) must hop empty buckets without executing out of order.
   Scheduler sched;
   std::vector<std::int64_t> fired_ps;
   const double times[] = {1e-6, 3600.0, 0.25, 7.0, 1e-3, 400.0, 2e-6};
@@ -268,20 +268,35 @@ TEST(SchedulerTest, PoolRecyclesSlotsAndTracksHighWater) {
   EXPECT_EQ(sched.pool_in_use(), 0u);
 }
 
-TEST(SchedulerTest, CalendarResizesWithPopulation) {
+TEST(SchedulerTest, QueueGaugesTrackRedistribution) {
   Scheduler sched;
-  EXPECT_EQ(sched.calendar_buckets(), 64u);
+  EXPECT_EQ(sched.redistributions(), 0u);
+  EXPECT_EQ(sched.ready_high_water(), 0u);
+  EXPECT_EQ(sched.overflow_high_water(), 0u);
+  // 5000 events in [2^20, 2^21) ps share one bucket; nothing is sorted
+  // until the first fire scans it and spreads all 5000 at once.
   std::vector<EventHandle> handles;
   for (int i = 0; i < 5000; ++i)
-    handles.push_back(sched.schedule_at(SimTime::nanoseconds(100 + i * 7), [] {}));
-  EXPECT_GT(sched.calendar_buckets(), 64u) << "table must grow under load";
-  EXPECT_GE(sched.calendar_resizes(), 1u);
+    handles.push_back(sched.schedule_at(
+        SimTime::picoseconds((std::int64_t{1} << 20) + i * 7), [] {}));
+  EXPECT_EQ(sched.redistributions(), 0u);
+  ASSERT_TRUE(sched.step());
+  EXPECT_EQ(sched.redistributions(), 1u);
+  EXPECT_EQ(sched.overflow_high_water(), 5000u);
+  EXPECT_EQ(sched.ready_high_water(), 1u);
+  // Eight events due at one instant form one ready run.
+  for (int i = 0; i < 8; ++i)
+    handles.push_back(sched.schedule_at(SimTime::seconds(1.0), [] {}));
+  sched.run(SimTime::milliseconds(1));
+  ASSERT_TRUE(sched.step());
+  EXPECT_EQ(sched.ready_high_water(), 8u);
+  EXPECT_GT(sched.redistributions(), 1u);
+  // Mass cancel sweeps the tombstones; the gauges keep their peaks.
   for (auto& h : handles) h.cancel();
-  // Draining the population (here: mass-cancel) shrinks the table again.
-  EXPECT_LT(sched.calendar_buckets(), 4096u);
-  sched.run();
   EXPECT_TRUE(sched.empty());
   EXPECT_EQ(sched.queued_entries(), 0u);
+  EXPECT_EQ(sched.pool_in_use(), 0u);
+  EXPECT_EQ(sched.overflow_high_water(), 5000u);
 }
 
 TEST(SchedulerTest, HorizonStopsRun) {

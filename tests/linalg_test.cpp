@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "des/random.hpp"
@@ -113,6 +114,27 @@ TEST(SolveTest, SpdCholesky) {
   const Vector b = spd * x_true;
   const Vector x = solve_spd(spd, b);
   for (std::size_t i = 0; i < 8; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
+}
+
+TEST(SolveTest, SpdInPlaceMatchesSpdBitForBit) {
+  des::Rng rng(7);
+  const Matrix a = random_matrix(rng, 20, 6);
+  Matrix spd = a.transposed() * a;
+  for (std::size_t i = 0; i < 6; ++i) spd(i, i) *= 1.001;
+  const Vector b = random_vector(rng, 6);
+  const Vector x = solve_spd(spd, b);
+  std::array<double, 36> m{};
+  std::array<double, 6> bx{};
+  for (std::size_t i = 0; i < 6; ++i) {
+    bx[i] = b[i];
+    for (std::size_t j = 0; j < 6; ++j) m[i * 6 + j] = spd(i, j);
+  }
+  ASSERT_TRUE(solve_spd_in_place(m, bx));
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(bx[i], x[i]) << i;
+
+  std::array<double, 4> indefinite = {1.0, 0.0, 0.0, -1.0};
+  std::array<double, 2> rhs = {1.0, 1.0};
+  EXPECT_FALSE(solve_spd_in_place(indefinite, rhs));
 }
 
 TEST(SolveTest, SpdRejectsIndefinite) {

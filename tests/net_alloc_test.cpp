@@ -2,12 +2,12 @@
 //
 // Frames and packets wait in component-owned rings and every per-packet
 // event captures only `this` (plus a small id), so once the rings, the
-// event pool and the calendar have reached their high-water marks a UDP
-// stream crosses Host -> AtmNic -> AtmSwitch -> Link -> Host without one
-// heap allocation.  This binary replaces the global allocation functions
-// with counting versions and asserts exactly that, over 10k frames after a
-// warm-up, on the clean path and on the drop paths (bit errors, a mid-run
-// line cut).
+// event pool and the event queue's chunk pool have reached their
+// high-water marks a UDP stream crosses Host -> AtmNic -> AtmSwitch ->
+// Link -> Host without one heap allocation.  This binary replaces the
+// global allocation functions with counting versions and asserts exactly
+// that, over 10k frames after a warm-up, on the clean path and on the drop
+// paths (bit errors, a mid-run line cut).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -140,7 +140,7 @@ struct Path {
 TEST(SteadyStateAllocTest, CleanPathAllocatesNothing) {
   Path p;
   p.send_next();
-  p.run_frames(2000);  // warm-up: rings, event pool and calendar settle
+  p.run_frames(2000);  // warm-up: rings, event and chunk pools settle
   ASSERT_GT(p.received, 1500u);
 
   const std::uint64_t before = g_allocations;
@@ -160,10 +160,9 @@ TEST(SteadyStateAllocTest, DropPathsAllocateNothing) {
   p.run_frames(2000);
   // The measured window is one period of a periodic disturbance: 10k frames
   // with a 1 ms cut of both lines 50 ms in.  Warm up through the same
-  // period until one allocates nothing.  Rings, the event pool and the
-  // calendar keep their capacity, but each calendar bucket reaches its own
-  // high-water mark separately, and a cut shifts which buckets events land
-  // in, so the first periods may still grow one.
+  // period until one allocates nothing.  Rings and the pools keep their
+  // capacity, but a cut shifts how many events are pending at once, so the
+  // first periods may still grow a pool or the ready run.
   auto period = [&p] {
     p.cut_lines(des::SimTime::milliseconds(50));
     p.run_frames(10000);
@@ -174,7 +173,7 @@ TEST(SteadyStateAllocTest, DropPathsAllocateNothing) {
     period();
     if (g_allocations == start) break;
   }
-  ASSERT_LT(warmup, 8) << "the calendar never settled";
+  ASSERT_LT(warmup, 8) << "the event queue never settled";
 
   const std::uint64_t before = g_allocations;
   const std::uint64_t got = p.received;

@@ -57,7 +57,7 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// Print the engine-core metrics (scheduler calendar, event pool, link burst
+// Print the engine-core metrics (scheduler queue, event pool, link burst
 // pools) out of an OBS_*.metrics.json snapshot.  The exporter writes one
 // metric per line as `    "name": value,` so a line scan suffices — no JSON
 // parser needed for our own format.
