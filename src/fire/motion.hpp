@@ -9,6 +9,8 @@
 // 6x6 normal equations.
 #pragma once
 
+#include <vector>
+
 #include "fire/rigid.hpp"
 #include "fire/volume.hpp"
 
@@ -32,10 +34,21 @@ struct MotionResult {
   double final_rmse = 0.0;
 };
 
+// The foreground mask depends only on the reference, so the constructor
+// fixes what every iteration touches: the mask as row runs, and the voxels
+// the accumulation reads (the mask and its 6-neighbours) as one x-range per
+// row.  correct() accumulates J^T J over the runs in z -> y -> x order,
+// warps only the read rows inside the loop (iteration 0 reads the scan
+// itself), and never warps after the final update, since with `presmooth`
+// on nothing reads that warp.  `corrected` is always a full warp of the
+// scan (or the scan itself when the estimate stayed at identity).  A call
+// allocates the returned volume, plus the smoothed scan with `presmooth`
+// on, whatever the iteration count.
 class MotionCorrector {
  public:
   explicit MotionCorrector(VolumeF reference, MotionConfig cfg = {});
 
+  // `scan` must have the reference's dims.
   MotionResult correct(const VolumeF& scan) const;
 
   const VolumeF& reference() const { return ref_; }
@@ -44,6 +57,8 @@ class MotionCorrector {
   VolumeF ref_;
   MotionConfig cfg_;
   float mask_threshold_ = 0.0f;
+  std::vector<RowSpan> mask_runs_;  // foreground voxels, z -> y -> x
+  std::vector<RowSpan> read_rows_;  // what the accumulation reads
 };
 
 // Execution-model work accounting: per voxel per Gauss-Newton iteration,

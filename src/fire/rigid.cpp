@@ -1,6 +1,7 @@
 #include "fire/rigid.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace gtw::fire {
@@ -55,6 +56,21 @@ class Mapping {
   double cos_x_, sin_x_, cos_y_, sin_y_, cos_z_, sin_z_;
 };
 
+// Warps one row span of `out`: the single per-voxel routine behind both
+// resample entry points.
+void warp_span(const VolumeF& src, const Mapping& m, const RowSpan& r,
+               VolumeF& out) {
+  const Dims d = src.dims();
+  const double cx = (d.nx - 1) / 2.0;
+  const double cy = (d.ny - 1) / 2.0;
+  const double cz = (d.nz - 1) / 2.0;
+  for (int x = r.x0; x < r.x1; ++x) {
+    double sx, sy, sz;
+    m.map(cx, cy, cz, x, r.y, r.z, sx, sy, sz);
+    out.at(x, r.y, r.z) = static_cast<float>(src.sample(sx, sy, sz));
+  }
+}
+
 }  // namespace
 
 void RigidTransform::apply(double cx, double cy, double cz, double x,
@@ -72,18 +88,15 @@ void resample_into(const VolumeF& src, const RigidTransform& t, VolumeF& out) {
   const Dims d = src.dims();
   if (out.dims() != d) out = VolumeF(d);
   const Mapping m(t);
-  const double cx = (d.nx - 1) / 2.0;
-  const double cy = (d.ny - 1) / 2.0;
-  const double cz = (d.nz - 1) / 2.0;
-  for (int z = 0; z < d.nz; ++z) {
-    for (int y = 0; y < d.ny; ++y) {
-      for (int x = 0; x < d.nx; ++x) {
-        double sx, sy, sz;
-        m.map(cx, cy, cz, x, y, z, sx, sy, sz);
-        out.at(x, y, z) = static_cast<float>(src.sample(sx, sy, sz));
-      }
-    }
-  }
+  for (int z = 0; z < d.nz; ++z)
+    for (int y = 0; y < d.ny; ++y) warp_span(src, m, {y, z, 0, d.nx}, out);
+}
+
+void resample_rows(const VolumeF& src, const RigidTransform& t,
+                   const std::vector<RowSpan>& rows, VolumeF& out) {
+  assert(out.dims() == src.dims());
+  const Mapping m(t);
+  for (const RowSpan& r : rows) warp_span(src, m, r, out);
 }
 
 VolumeF resample(const VolumeF& src, const RigidTransform& t) {

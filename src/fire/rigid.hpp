@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <vector>
 
 #include "fire/volume.hpp"
 
@@ -43,5 +44,17 @@ VolumeF resample(const VolumeF& src, const RigidTransform& t);
 // dims differ from `src`'s (iterative callers reuse one buffer).  `out` must
 // not be `src`.
 void resample_into(const VolumeF& src, const RigidTransform& t, VolumeF& out);
+
+// The voxels x0 <= x < x1 of row (y, z).
+struct RowSpan {
+  int y = 0, z = 0;
+  int x0 = 0, x1 = 0;
+};
+
+// resample_into() restricted to `rows`: each listed voxel gets the bits
+// resample_into() would give it, every other voxel of `out` keeps its value.
+// An iterative caller that reads only part of the warp warps only that part.
+void resample_rows(const VolumeF& src, const RigidTransform& t,
+                   const std::vector<RowSpan>& rows, VolumeF& out);
 
 }  // namespace gtw::fire

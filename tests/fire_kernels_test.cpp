@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "des/random.hpp"
@@ -16,6 +17,7 @@
 #include "fire/rigid.hpp"
 #include "fire/rvo.hpp"
 #include "fire/volume.hpp"
+#include "linalg/solve.hpp"
 #include "scanner/phantom.hpp"
 
 namespace gtw::fire {
@@ -712,6 +714,186 @@ TEST(FireKernelEquivalenceTest,
       c /= 5;
     }
   });
+}
+
+// MotionCorrector::correct as it was before it warped only what the
+// Gauss-Newton loop reads: a full warp of the (smoothed) scan after every
+// update, the mask tested voxel by voxel over the whole interior, and the
+// corrected scan chosen afterwards.  The reference is prepared as the
+// constructor prepares it.
+MotionResult full_warp_correct(const VolumeF& reference,
+                               const MotionConfig& cfg, const VolumeF& scan) {
+  const VolumeF ref =
+      cfg.presmooth ? average_filter_3x3x3(reference) : reference;
+  float peak = 0.0f;
+  for (std::size_t i = 0; i < ref.size(); ++i) peak = std::max(peak, ref[i]);
+  const float mask_threshold = peak * static_cast<float>(cfg.foreground_fraction);
+
+  const Dims d = ref.dims();
+  const double cx = (d.nx - 1) / 2.0, cy = (d.ny - 1) / 2.0,
+               cz = (d.nz - 1) / 2.0;
+
+  MotionResult result;
+  RigidTransform theta;
+
+  const VolumeF smooth_scan = cfg.presmooth ? average_filter_3x3x3(scan) : scan;
+  VolumeF warped = smooth_scan;
+  for (int iter = 0; iter < cfg.max_iterations; ++iter) {
+    std::array<double, 36> jtj{};
+    std::array<double, 6> jtr{};
+    double sse = 0.0;
+    std::size_t count = 0;
+
+    for (int z = 1; z < d.nz - 1; ++z) {
+      for (int y = 1; y < d.ny - 1; ++y) {
+        for (int x = 1; x < d.nx - 1; ++x) {
+          const float rv = ref.at(x, y, z);
+          if (rv < mask_threshold) continue;
+          const double r = warped.at(x, y, z) - rv;
+          const double gx =
+              0.5 * (warped.at(x + 1, y, z) - warped.at(x - 1, y, z));
+          const double gy =
+              0.5 * (warped.at(x, y + 1, z) - warped.at(x, y - 1, z));
+          const double gz =
+              0.5 * (warped.at(x, y, z + 1) - warped.at(x, y, z - 1));
+          const double px = x - cx, py = y - cy, pz = z - cz;
+          const std::array<double, 6> jrow = {
+              gx,
+              gy,
+              gz,
+              gy * (-pz) + gz * py,
+              gx * pz + gz * (-px),
+              gx * (-py) + gy * px,
+          };
+          for (std::size_t a = 0; a < 6; ++a) {
+            jtr[a] += jrow[a] * r;
+            for (std::size_t b = a; b < 6; ++b) jtj[a * 6 + b] += jrow[a] * jrow[b];
+          }
+          sse += r * r;
+          ++count;
+        }
+      }
+    }
+    if (count == 0) break;
+    for (std::size_t a = 0; a < 6; ++a)
+      for (std::size_t b = 0; b < a; ++b) jtj[a * 6 + b] = jtj[b * 6 + a];
+    for (std::size_t a = 0; a < 6; ++a) jtj[a * 6 + a] *= 1.001;
+
+    const double rmse = std::sqrt(sse / static_cast<double>(count));
+    if (iter == 0) result.initial_rmse = rmse;
+    result.final_rmse = rmse;
+    result.iterations = iter;
+
+    if (!linalg::solve_spd_in_place(jtj, jtr)) break;
+    const std::array<double, 6>& delta = jtr;
+
+    auto arr = theta.as_array();
+    double step_max = 0.0;
+    for (std::size_t a = 0; a < 6; ++a) {
+      arr[a] -= delta[a];
+      step_max = std::max(step_max, std::abs(delta[a]));
+    }
+    theta = RigidTransform::from_array(arr);
+    resample_into(smooth_scan, theta, warped);
+    result.iterations = iter + 1;
+    if (step_max < cfg.tolerance) break;
+  }
+
+  result.estimate = theta;
+  result.corrected =
+      cfg.presmooth && theta.max_abs() > 0.0 ? resample(scan, theta)
+      : cfg.presmooth                        ? scan
+                                             : std::move(warped);
+  return result;
+}
+
+// A smooth bright blob over dark air at any dims, with noise from `seed`.
+VolumeF blob_volume(Dims d, std::uint64_t seed) {
+  des::Rng rng(seed);
+  VolumeF v(d);
+  for (int z = 0; z < d.nz; ++z)
+    for (int y = 0; y < d.ny; ++y)
+      for (int x = 0; x < d.nx; ++x) {
+        const double rx = (x - (d.nx - 1) / 2.0) / (d.nx / 3.0 + 1.0);
+        const double ry = (y - (d.ny - 1) / 2.0) / (d.ny / 3.0 + 1.0);
+        const double rz = (z - (d.nz - 1) / 2.0) / (d.nz / 3.0 + 1.0);
+        v.at(x, y, z) = static_cast<float>(
+            100.0 * std::exp(-(rx * rx + ry * ry + rz * rz)) +
+            rng.uniform(0.0, 5.0));
+      }
+  return v;
+}
+
+void expect_same_motion(const MotionResult& got, const MotionResult& want,
+                        const std::string& what) {
+  const auto g = got.estimate.as_array(), w = want.estimate.as_array();
+  for (std::size_t a = 0; a < 6; ++a)
+    EXPECT_TRUE(same_bits(g[a], w[a])) << what << ": estimate[" << a << "]";
+  EXPECT_TRUE(same_bits(got.corrected, want.corrected)) << what << ": corrected";
+  EXPECT_EQ(got.iterations, want.iterations) << what << ": iterations";
+  EXPECT_TRUE(same_bits(got.initial_rmse, want.initial_rmse))
+      << what << ": initial_rmse";
+  EXPECT_TRUE(same_bits(got.final_rmse, want.final_rmse))
+      << what << ": final_rmse";
+}
+
+TEST(MotionEquivalenceTest, MaskedWarpsMatchFullWarpOracleBitwise) {
+  struct Case {
+    std::string name;
+    VolumeF reference, scan;
+  };
+  std::vector<Case> cases;
+  // Head motion at the paper's functional matrix: the loop converges and
+  // stops on the tolerance.
+  {
+    const VolumeF head = scanner::make_head_phantom(Dims{64, 64, 16});
+    const VolumeF moved =
+        resample(head, RigidTransform{0.7, -0.4, 0.3, 0.01, -0.008, 0.02});
+    cases.push_back({"head 64x64x16", head, moved});
+  }
+  std::uint64_t seed = 400;
+  for (const Dims& d : {Dims{1, 1, 1}, Dims{2, 3, 1}, Dims{3, 3, 3},
+                        Dims{64, 64, 16}}) {
+    const std::string dims = std::to_string(d.nx) + "x" + std::to_string(d.ny) +
+                             "x" + std::to_string(d.nz);
+    cases.push_back({"blob " + dims, blob_volume(d, seed), blob_volume(d, seed + 1)});
+    seed += 2;
+    // Uniform images: zero gradients, so the normal equations are singular.
+    cases.push_back({"uniform " + dims, VolumeF(d, 50.0f), VolumeF(d, 50.0f)});
+    // Every reference voxel below the mask threshold: the mask is empty.
+    cases.push_back({"all air " + dims, VolumeF(d, -1.0f), blob_volume(d, seed++)});
+  }
+
+  for (const bool presmooth : {true, false}) {
+    for (const int max_iterations : {1, 2, 12}) {
+      MotionConfig cfg;
+      cfg.presmooth = presmooth;
+      cfg.max_iterations = max_iterations;
+      for (const Case& c : cases) {
+        const std::string what = c.name + (presmooth ? " presmooth" : " raw") +
+                                 " max_iterations " +
+                                 std::to_string(max_iterations);
+        const MotionResult want = full_warp_correct(c.reference, cfg, c.scan);
+        const MotionCorrector mc(c.reference, cfg);
+        expect_same_motion(mc.correct(c.scan), want, what);
+        // A second call on the same corrector sees no state of the first.
+        expect_same_motion(mc.correct(c.scan), want, what + " again");
+        // The cases reach the exits they are meant to reach: on the
+        // smoothed head the loop stops on the tolerance, on the raw one
+        // (sharp edges) it runs to the cap.
+        if (c.name == "head 64x64x16") {
+          if (presmooth && max_iterations == 12) {
+            EXPECT_LT(want.iterations, max_iterations) << what;
+          } else {
+            EXPECT_EQ(want.iterations, max_iterations) << what;
+          }
+        }
+        if (c.name.starts_with("uniform") || c.name.starts_with("all air")) {
+          EXPECT_EQ(want.iterations, 0) << what;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
